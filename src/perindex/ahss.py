@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .homology import ChainComplex, CohomologyGroup, cohomology_Z
 from .numtheory import factorize
-from .stable_tables import ExponentEntry, ExponentTable, r_primary_exponent
+from .stable_tables import ExponentEntry, ExponentTable, _is_int, r_primary_exponent
 
 __all__ = [
     "TwistedShape",
@@ -90,19 +90,19 @@ def twisted_shape_from_json(obj) -> TwistedShape:
     if not isinstance(obj, dict) or not {"d", "r", "h"} <= set(obj):
         raise ValueError('shape document must be an object with keys "d", "r", "h"')
     d, r, h = obj["d"], obj["r"], obj["h"]
-    if not isinstance(d, int) or not isinstance(r, int) or not isinstance(h, list):
+    if not _is_int(d) or not _is_int(r) or not isinstance(h, list):
         raise ValueError("shape document has wrongly typed fields")
     groups = []
     for k, entry in enumerate(h):
         if not isinstance(entry, dict):
             raise ValueError(f"group {k} must be an object")
-        groups.append(
-            CohomologyGroup(
-                degree=k,
-                free_rank=entry.get("free_rank", 0),
-                torsion=tuple(entry.get("torsion", ())),
-            )
-        )
+        free_rank = entry.get("free_rank", 0)
+        torsion = entry.get("torsion", [])
+        if not _is_int(free_rank):
+            raise ValueError(f"group {k}: free_rank must be an integer")
+        if not isinstance(torsion, list) or not all(_is_int(x) for x in torsion):
+            raise ValueError(f"group {k}: torsion must be a list of integers")
+        groups.append(CohomologyGroup(degree=k, free_rank=free_rank, torsion=tuple(torsion)))
     return TwistedShape(d, r, tuple(groups))
 
 
@@ -158,7 +158,7 @@ def best_upper_bound(shape: TwistedShape, table: ExponentTable | None = None) ->
         if 2 * ell > d + 1:
             contributors.append((TAG_PRIME_POWER, upper_bound_prime_power(d, ell, k)))
     known = [rep.bound for _, rep in contributors if rep.known]
-    bound = math.gcd(*known) if len(known) > 1 else known[0]
+    bound = math.gcd(*known)
     notes = []
     for tag, rep in contributors:
         notes.append(f"{tag}: {rep.describe()}")

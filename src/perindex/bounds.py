@@ -218,24 +218,14 @@ def degree_admissible(n: int, profile: OrdersProfile) -> bool:
 def min_admissible_degree(profile: OrdersProfile, search_cap: int) -> int | None:
     """Smallest admissible degree <= search_cap, or None when none exists.
 
-    For the constant profile (every order equal to r up to S) the result is
-    always a multiple of n_func(r, S); that consistency is re-checked here on
-    every hit.
+    o_s divides m_closed(n, s) exactly when n_func(o_s, s) divides n, so the
+    admissible degrees are the multiples of L = lcm_s n_func(o_s, s) and the
+    smallest one is max(2, L).
     """
     if search_cap < 2:
         raise ValueError(f"search_cap must be >= 2, got {search_cap}")
-    constant = all(o == profile.r for o in profile.orders)
-    for n in range(2, search_cap + 1):
-        if degree_admissible(n, profile):
-            if constant:
-                forced = n_func(profile.r, len(profile.orders))
-                if n % forced != 0:
-                    raise RuntimeError(
-                        f"internal consistency failure: {n} admissible but not a "
-                        f"multiple of the forced divisor {forced}"
-                    )
-            return n
-    return None
+    least = max(2, math.lcm(*(n_func(o, s) for s, o in enumerate(profile.orders, start=1))))
+    return least if least <= search_cap else None
 
 
 def check_per_ind_consistency(per: int, ind: int) -> bool:

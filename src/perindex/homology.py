@@ -1,10 +1,13 @@
 """Exact cellular cohomology over Z and Z/r via Smith normal form.
 
 Everything here is dense arbitrary-precision integer linear algebra: matrices
-are rows of Python ints, Smith decompositions carry their unimodular change
-of basis matrices together with explicit inverses, and cohomology groups come
-with generating cochains so the connecting map of the coefficient sequence
-Z -> Z -> Z/r can be evaluated on actual classes.
+are rows of Python ints, and Smith decompositions carry their unimodular
+change of basis matrices together with explicit inverses.  Cohomology groups
+follow from the invariant factors of the boundary maps by the universal
+coefficient theorem, each boundary reduced once per complex.  Generating
+cochains are built only where classes must be named: the generators of
+integral cohomology and the connecting map of the coefficient sequence
+Z -> Z -> Z/r.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
 degree k+1, and cohomology generators live in the basis supplied by the V
@@ -13,7 +16,6 @@ matrix of the relevant Smith decomposition.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -75,18 +77,9 @@ class IntMatrix:
             m.data[i][i] = 1
         return m
 
-    @classmethod
-    def from_rows(cls, rows_list) -> "IntMatrix":
-        rows_list = [list(r) for r in rows_list]
-        cols = len(rows_list[0]) if rows_list else 0
-        return cls(len(rows_list), cols, rows_list)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
 
     def transpose(self) -> "IntMatrix":
         data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -159,9 +152,9 @@ def _hconcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.data, b.data)])
 
 
-def _scaled_identity(n: int, c: int) -> IntMatrix:
-    m = IntMatrix(n, n)
-    for i in range(n):
+def _diagonal(entries) -> IntMatrix:
+    m = IntMatrix(len(entries), len(entries))
+    for i, c in enumerate(entries):
         m.data[i][i] = c
     return m
 
@@ -326,7 +319,7 @@ class ChainComplex:
     cell_counts[k] matrix; consecutive boundaries must compose to zero.
     """
 
-    __slots__ = ("name", "cell_counts", "boundaries")
+    __slots__ = ("name", "cell_counts", "boundaries", "_factors")
 
     def __init__(self, cell_counts, boundaries, name: str = ""):
         cell_counts = tuple(int(c) for c in cell_counts)
@@ -358,6 +351,7 @@ class ChainComplex:
         self.name = name
         self.cell_counts = cell_counts
         self.boundaries = boundaries
+        self._factors: dict[int, tuple[int, ...]] = {}
 
     @property
     def top_dim(self) -> int:
@@ -376,6 +370,16 @@ class ChainComplex:
         if k == self.top_dim:
             return IntMatrix(0, self.cell_counts[k])
         return self.boundaries[k].transpose()
+
+    def _nonzero_factors(self, k: int) -> tuple[int, ...]:
+        """Nonzero invariant factors of the degree-k boundary, empty for k
+        outside 1..top_dim.  Each boundary is reduced once per complex."""
+        if not 1 <= k <= self.top_dim:
+            return ()
+        if k not in self._factors:
+            diagonal = smith_normal_form(self.boundary(k)).diagonal()
+            self._factors[k] = tuple(d for d in diagonal if d)
+        return self._factors[k]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * c for k, c in enumerate(self.cell_counts))
@@ -497,7 +501,7 @@ class _ModClasses:
             n_k, n_k, [[x * scales[j] for j, x in enumerate(row)] for row in snf_out.V.data]
         )
         incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
-        sub_gens = _hconcat(incoming, _scaled_identity(n_k, r))
+        sub_gens = _hconcat(incoming, _diagonal([r] * n_k))
         w = snf_out.v_inv @ sub_gens
         x_rows = []
         for i, row in enumerate(w.data):
@@ -542,9 +546,31 @@ class _ModClasses:
         return out
 
 
+def _invariant_form(orders) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of the cyclic groups Z/o.
+
+    Replacing each pair by (gcd, lcm) keeps the group, since Z/a + Z/b is
+    Z/gcd(a, b) + Z/lcm(a, b); after the sweep over position i, the entry at
+    i divides every later one.
+    """
+    out = list(orders)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            out[i], out[j] = math.gcd(out[i], out[j]), math.lcm(out[i], out[j])
+    return tuple(o for o in out if o > 1)
+
+
 def cohomology_Z(c: ChainComplex, k: int) -> CohomologyGroup:
-    """Integral cohomology of the dual cochain complex in degree k."""
-    return _IntegralClasses(c, k).group
+    """Integral cohomology of the dual cochain complex in degree k.
+
+    By the universal coefficient theorem the free rank is
+    n_k - rank d_k - rank d_(k+1) and the torsion is the non-unit invariant
+    factors of the boundary d_k.
+    """
+    _check_degree(c, k)
+    incoming = c._nonzero_factors(k)
+    free_rank = c.cell_counts[k] - len(incoming) - len(c._nonzero_factors(k + 1))
+    return CohomologyGroup(k, free_rank, tuple(d for d in incoming if d > 1))
 
 
 def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], int]]:
@@ -555,8 +581,19 @@ def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], in
 
 def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
     """Cohomology of the mod-r reduction of the cochain complex in degree k,
-    reported as the underlying abelian group."""
-    return _ModClasses(c, k, r).group
+    reported as the underlying abelian group.
+
+    By the universal coefficient theorem it is (Z/r)^f, f the integral free
+    rank, plus Z/gcd(d, r) for every nonzero invariant factor d of the
+    boundaries d_k and d_(k+1).
+    """
+    _check_degree(c, k)
+    if r < 2:
+        raise ValueError(f"modulus must be >= 2, got {r}")
+    factors = c._nonzero_factors(k) + c._nonzero_factors(k + 1)
+    free_rank = c.cell_counts[k] - len(factors)
+    orders = [r] * free_rank + [math.gcd(d, r) for d in factors]
+    return CohomologyGroup(k, 0, _invariant_form(orders))
 
 
 @dataclass(frozen=True)
@@ -580,23 +617,19 @@ class BocksteinMap:
         return self.matrix.is_zero()
 
     def is_isomorphism(self) -> bool:
-        """Brute-force bijectivity check; both groups must be finite."""
+        """Bijectivity check; both groups must be finite.
+
+        A map between finite groups of equal order is bijective exactly when
+        it is onto, and it is onto exactly when its columns together with the
+        target relations span the target lattice, that is when
+        [matrix | diag(target_orders)] has only unit invariant factors.
+        """
         if self.source.free_rank or self.target.free_rank:
             return False
-        source_order = math.prod(self.source_orders) if self.source_orders else 1
-        target_order = math.prod(self.target_orders) if self.target_orders else 1
-        if source_order != target_order:
+        if math.prod(self.source_orders) != math.prod(self.target_orders):
             return False
-        if source_order > 10_000:
-            raise ValueError("isomorphism check only supported for small groups")
-        seen = set()
-        for element in itertools.product(*(range(o) for o in self.source_orders)):
-            image = tuple(
-                sum(m * x for m, x in zip(row, element)) % d
-                for row, d in zip(self.matrix.data, self.target_orders)
-            )
-            seen.add(image)
-        return len(seen) == target_order
+        spanning = _hconcat(self.matrix, _diagonal(self.target_orders))
+        return all(d == 1 for d in smith_normal_form(spanning).diagonal())
 
 
 def _divide_cochain(vec: list[int], r: int) -> list[int]:
@@ -622,9 +655,11 @@ def bockstein(c: ChainComplex, k: int, r: int) -> BocksteinMap:
 
     Every generator is lifted to an integer cochain, pushed through the
     coboundary, divided by r, and located in the integral cohomology one
-    degree up.  Well-definedness is re-checked against representative
-    perturbations (adding r times a cochain, adding an integral coboundary),
-    and the image is confirmed to avoid the free part of the target.
+    degree up.  The image is confirmed to avoid the free part of the target,
+    and well-definedness is checked once for the whole map: class coordinates
+    are linear, so adding r times any cochain leaves every image unchanged
+    when each delta(e_i) has zero class, and adding an integral coboundary
+    does when delta composed with the incoming coboundary is zero.
     """
     if not 0 <= k < c.top_dim:
         raise ValueError(f"degree {k} out of range 0..{c.top_dim - 1}")
@@ -632,29 +667,18 @@ def bockstein(c: ChainComplex, k: int, r: int) -> BocksteinMap:
     target = _IntegralClasses(c, k + 1)
     delta = c.coboundary(k)
     incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(c.cell_counts[k], 0)
+    if not (delta @ incoming).is_zero() or any(
+        any(target.class_coordinates(delta.column(i))) for i in range(delta.cols)
+    ):
+        raise RuntimeError("connecting map is not well defined on classes")
 
-    def image_coords(x):
-        return target.class_coordinates(_divide_cochain(delta.apply(x), r))
-
+    generators = source.generators()
     columns = []
-    source_orders = []
-    for x, order in source.generators():
-        coords = image_coords(x)
+    for x, _ in generators:
+        coords = target.class_coordinates(_divide_cochain(delta.apply(x), r))
         if any(coords[len(target.group.torsion) :]):
             raise RuntimeError("connecting map image must be torsion")
-        if c.cell_counts[k]:
-            shifted = x[:]
-            shifted[0] += r
-            if image_coords(shifted) != coords:
-                raise RuntimeError("connecting map is not well defined on classes")
-        if incoming.cols:
-            basis_vec = [0] * incoming.cols
-            basis_vec[0] = 1
-            shifted = [a + b for a, b in zip(x, incoming.apply(basis_vec))]
-            if image_coords(shifted) != coords:
-                raise RuntimeError("connecting map is not well defined on classes")
         columns.append(coords)
-        source_orders.append(order)
 
     target_orders = tuple(target.group.torsion) + (0,) * target.group.free_rank
     matrix = IntMatrix(
@@ -668,7 +692,7 @@ def bockstein(c: ChainComplex, k: int, r: int) -> BocksteinMap:
         source=source.group,
         target=target.group,
         matrix=matrix,
-        source_orders=tuple(source_orders),
+        source_orders=tuple(order for _, order in generators),
         target_orders=target_orders,
     )
 

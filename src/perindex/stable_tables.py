@@ -68,10 +68,6 @@ class FinAbGroup:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def order(self) -> int:
         if not self.is_finite:
             raise InfiniteExponentError("group has a free summand; order is infinite")
@@ -183,6 +179,10 @@ def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> E
     return ExponentEntry(value, provenance)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def exponent_table_from_json(obj) -> ExponentTable:
     """Parse a table-extension document {"table": [{"r", "j", "invariant_factors"}]}.
 
@@ -198,8 +198,10 @@ def exponent_table_from_json(obj) -> ExponentTable:
         if not isinstance(row, dict) or not {"r", "j", "invariant_factors"} <= set(row):
             raise ValueError(f"bad table row: {row!r}")
         r, j, factors = row["r"], row["j"], row["invariant_factors"]
-        if not isinstance(r, int) or r < 2 or not isinstance(j, int) or j < 1:
+        if not _is_int(r) or r < 2 or not _is_int(j) or j < 1:
             raise ValueError(f"bad (r, j) in table row: {row!r}")
+        if not isinstance(factors, list) or not all(_is_int(x) for x in factors):
+            raise ValueError(f"invariant_factors must be a list of integers: {row!r}")
         group = FinAbGroup(0, tuple(factors))
         value = exponent(group)
         if value > 1 and not prime_support(value) <= prime_support(r):

@@ -1,5 +1,7 @@
 """Tests for the divisibility bound reports and the cup-power obstructions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,28 @@ def test_min_admissible_degree_brute_force_cross_check():
     hits = [n for n in range(2, 101) if all(m_oracle(n, s) % o == 0 for s, o in enumerate(profile.orders, 1))]
     assert hits[0] == min_admissible_degree(profile, 100) == 4
     assert all(h % n_func(2, 2) == 0 for h in hits)
+
+    # the closed form against a linear search: every profile with r <= 24 and S <= 3
+    cap = 2000
+    profiles = [
+        OrdersProfile(r, (r,) + tail)
+        for r in range(1, 25)
+        for length in range(3)
+        for tail in itertools.product([o for o in range(1, r + 1) if r % o == 0], repeat=length)
+    ]
+    assert len(profiles) == 472
+    for profile in profiles:
+        search = next(
+            (
+                n
+                for n in range(2, cap + 1)
+                if all(m_oracle(n, s) % o == 0 for s, o in enumerate(profile.orders, 1))
+            ),
+            None,
+        )
+        assert min_admissible_degree(profile, cap) == search
+        if search is not None and search > 2:
+            assert min_admissible_degree(profile, search - 1) is None
 
 
 def test_per_ind_consistency():

@@ -159,6 +159,27 @@ def test_cohomology_rejects_bad_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["ahss-bound", "--shape"], {"d": 3, "r": 2, "h": [{"free_rank": "1"}, {}, {}, {}]}),
+        (["ahss-bound", "--shape"], {"d": 3, "r": 2, "h": [{"free_rank": 1, "torsion": 2}, {}, {}, {}]}),
+        (
+            ["upper-bound", "--dim", "8", "--period", "2", "--tables"],
+            {"table": [{"r": 2, "j": 6, "invariant_factors": ["2"]}]},
+        ),
+    ],
+)
+def test_wrongly_typed_documents_are_domain_errors(tmp_path, capsys, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ValueError: ")
+
+
 def test_bockstein_command(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(chain_complex_to_json(bzr_skeleton_complex(2, 6))))

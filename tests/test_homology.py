@@ -1,5 +1,6 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perindex import homology
+from perindex.ahss import TwistedShape
 from perindex.homology import (
     BocksteinMap,
     ChainComplex,
@@ -27,6 +30,7 @@ from perindex.homology import (
     smith_normal_form,
     sphere_complex,
 )
+from perindex.numtheory import factorize
 
 
 def random_matrix(rng, max_dim=30, span=9):
@@ -285,6 +289,251 @@ def test_bockstein_rejects_non_cocycle():
     c = bzr_skeleton_complex(2, 4)
     with pytest.raises(ValueError):
         bockstein_of_cocycle(c, 1, 4, [1])  # delta(x) = 2x, not divisible by 4
+
+
+def enumerated_isomorphism(beta):
+    """Reference bijectivity check: push every source element through the
+    matrix and count the distinct images."""
+    if beta.source.free_rank or beta.target.free_rank:
+        return False
+    images = {
+        tuple(
+            sum(m * x for m, x in zip(row, element)) % d
+            for row, d in zip(beta.matrix.data, beta.target_orders)
+        )
+        for element in itertools.product(*(range(o) for o in beta.source_orders))
+    }
+    return len(images) == math.prod(beta.source_orders) == math.prod(beta.target_orders)
+
+
+def finite_map(source_orders, target_orders, rows):
+    return BocksteinMap(
+        degree=0,
+        modulus=2,
+        source=CohomologyGroup(0, 0, source_orders),
+        target=CohomologyGroup(1, 0, target_orders),
+        matrix=IntMatrix(len(target_orders), len(source_orders), rows),
+        source_orders=source_orders,
+        target_orders=target_orders,
+    )
+
+
+def test_is_isomorphism_matches_enumeration():
+    # groups of equal order, so that both answers occur
+    families = [
+        [(2, 2), (4,)],
+        [(2, 2, 2), (2, 4), (8,)],
+        [(3, 3), (9,)],
+        [(2, 6), (12,)],
+        [(2, 2, 4), (4, 4), (2, 8), (16,)],
+        [(3, 6), (18,)],
+    ]
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        family = rng.choice(families)
+        source, target = rng.choice(family), rng.choice(family)
+        if rng.random() < 0.1:
+            target = rng.choice(rng.choice(families))
+        # the image of a generator of order s in Z/t is a multiple of t/gcd(s, t);
+        # representatives are not reduced, to exercise entries beyond t
+        rows = [
+            [
+                rng.randrange(math.gcd(s, t)) * (t // math.gcd(s, t)) + t * rng.randint(-1, 1)
+                for s in source
+            ]
+            for t in target
+        ]
+        beta = finite_map(source, target, rows)
+        expected = enumerated_isomorphism(beta)
+        assert beta.is_isomorphism() == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+    for r in (2, 3, 4, 6):
+        for c in (bzr_skeleton_complex(r, 6), sphere_complex(3), rp_complex(5)):
+            for k in range(c.top_dim):
+                beta = bockstein(c, k, r)
+                assert beta.is_isomorphism() == enumerated_isomorphism(beta)
+
+
+def test_is_isomorphism_has_no_size_cap():
+    orders = (101, 101)
+    assert finite_map(orders, orders, [[1, 0], [0, 1]]).is_isomorphism()
+    assert not finite_map(orders, orders, [[1, 0], [1, 0]]).is_isomorphism()
+
+
+# --- Universal coefficient groups against the witness path and Kunneth -------
+
+UCT_MODULI = (2, 3, 4, 6, 12)
+
+
+def tensor_complex(*factors):
+    """Cellular tensor product: cells (p, i, q, j) of degree p + q, ordered by
+    p, with boundary d(x (x) y) = dx (x) y + (-1)^p x (x) dy."""
+    a, *rest = factors
+    for b in rest:
+        top = a.top_dim + b.top_dim
+        cells = [
+            [
+                (p, i, n - p, j)
+                for p in range(max(0, n - b.top_dim), min(n, a.top_dim) + 1)
+                for i in range(a.cell_counts[p])
+                for j in range(b.cell_counts[n - p])
+            ]
+            for n in range(top + 1)
+        ]
+        index = [{cell: pos for pos, cell in enumerate(level)} for level in cells]
+        boundaries = []
+        for n in range(1, top + 1):
+            m = IntMatrix(len(cells[n - 1]), len(cells[n]))
+            for col, (p, i, q, j) in enumerate(cells[n]):
+                if p:
+                    for i2, x in enumerate(a.boundary(p).column(i)):
+                        if x:
+                            m.data[index[n - 1][(p - 1, i2, q, j)]][col] += x
+                if q:
+                    for j2, y in enumerate(b.boundary(q).column(j)):
+                        if y:
+                            m.data[index[n - 1][(p, i, q - 1, j2)]][col] += (-1) ** p * y
+            boundaries.append(m)
+        a = ChainComplex([len(level) for level in cells], boundaries)
+    return a
+
+
+def bzr_groups(r, top):
+    """Integral cohomology of bzr_skeleton_complex(r, top) as (free rank,
+    torsion) pairs: Z in degree 0, Z/r in even degrees, 0 in odd degrees
+    below the top, Z in an odd top degree."""
+    return [(1, [])] + [
+        (0, [r]) if k % 2 == 0 else (1 if k == top else 0, []) for k in range(1, top + 1)
+    ]
+
+
+def sphere_groups(n):
+    return [(1 if k in (0, n) else 0, []) for k in range(n + 1)]
+
+
+def kunneth(*factor_groups):
+    """H^n of a tensor product: the tensor products of H^p and H^q with
+    p + q = n, plus Tor(H^p, H^q) with p + q = n + 1."""
+    ha, *rest = factor_groups
+    for hb in rest:
+        out = [[0, []] for _ in range(len(ha) + len(hb) - 1)]
+        for (p, (fa, ta)), (q, (fb, tb)) in itertools.product(enumerate(ha), enumerate(hb)):
+            tor = [math.gcd(s, t) for s in ta for t in tb]
+            out[p + q][0] += fa * fb
+            out[p + q][1] += ta * fb + tb * fa + tor
+            if p + q:
+                out[p + q - 1][1] += tor
+        ha = [tuple(g) for g in out]
+    return ha
+
+
+def primary(free_rank, orders):
+    """A finitely generated abelian group as its free rank and the sorted
+    prime powers of its primary decomposition."""
+    return free_rank, sorted(p**n for o in orders for p, n in factorize(o).pairs)
+
+
+def uct_mod(h, k, r):
+    """H^k(Z/r) = H^k (x) Z/r + Tor(H^(k+1), Z/r) from integral groups."""
+    free, torsion = h[k]
+    above = h[k + 1][1] if k + 1 < len(h) else []
+    return primary(0, [r] * free + [math.gcd(t, r) for t in torsion + above])
+
+
+def assert_uct_matches(c, h):
+    """Every group of c agrees with the expected integral groups h, with the
+    witness path, and with the universal coefficient theorem mod r."""
+    assert len(h) == c.top_dim + 1
+    for k in range(c.top_dim + 1):
+        g = cohomology_Z(c, k)
+        assert primary(g.free_rank, g.torsion) == primary(*h[k])
+        orders = [o for _, o in cohomology_generators_Z(c, k)]
+        assert (g.free_rank, g.torsion) == (orders.count(0), tuple(o for o in orders if o))
+        for r in UCT_MODULI:
+            g_r = cohomology_mod(c, k, r)
+            assert primary(g_r.free_rank, g_r.torsion) == uct_mod(h, k, r)
+            if k < c.top_dim:
+                beta = bockstein(c, k, r)
+                assert beta.source == g_r
+                assert beta.target == cohomology_Z(c, k + 1)
+
+
+def test_uct_groups_on_products():
+    cases = [
+        ((6, 4), (4, 4), (12, 4)),
+        ((3, 5), (2, 4)),
+        ((2, 3), (4, 3), (6, 2)),
+    ]
+    for dims in cases:
+        c = tensor_complex(*(bzr_skeleton_complex(r, top) for r, top in dims))
+        assert_uct_matches(c, kunneth(*(bzr_groups(r, top) for r, top in dims)))
+    c = tensor_complex(sphere_complex(2), rp_complex(4), bzr_skeleton_complex(3, 3))
+    assert_uct_matches(c, kunneth(sphere_groups(2), bzr_groups(2, 4), bzr_groups(3, 3)))
+
+
+def random_unimodular(rng, n):
+    """A random unimodular matrix and its inverse, from elementary row
+    additions: adding c times row j to row i of P subtracts c times column i
+    from column j of P^-1."""
+    p, p_inv = IntMatrix.identity(n), IntMatrix.identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p.data[i] = [x + c * y for x, y in zip(p.data[i], p.data[j])]
+        for row in p_inv.data:
+            row[j] -= c * row[i]
+    assert p @ p_inv == IntMatrix.identity(n)
+    return p, p_inv
+
+
+def rebased(c, rng):
+    """c with each chain group re-based by a random unimodular P_k: the
+    boundary d_k becomes P_(k-1)^-1 d_k P_k, and cohomology is unchanged."""
+    bases = [random_unimodular(rng, n) for n in c.cell_counts]
+    boundaries = [
+        bases[k - 1][1] @ c.boundary(k) @ bases[k][0] for k in range(1, c.top_dim + 1)
+    ]
+    return ChainComplex(c.cell_counts, boundaries)
+
+
+def test_uct_groups_on_rebased_complexes():
+    rng = random.Random(5)
+    factors = [
+        ((2, 3), (3, 3)),
+        ((4, 2), (6, 3)),
+        ((2, 4), (2, 2)),
+        ((12, 3), (2, 3)),
+        ((3, 6),),
+        ((2, 2), (3, 2), (4, 2)),
+    ]
+    for trial in range(24):
+        dims = factors[trial % len(factors)]
+        c = rebased(tensor_complex(*(bzr_skeleton_complex(r, top) for r, top in dims)), rng)
+        assert any(x not in (-1, 0, 1) for b in c.boundaries for row in b.data for x in row)
+        assert_uct_matches(c, kunneth(*(bzr_groups(r, top) for r, top in dims)))
+
+
+def test_group_work_reduces_each_boundary_once(monkeypatch):
+    c = tensor_complex(
+        bzr_skeleton_complex(6, 4), bzr_skeleton_complex(4, 4), bzr_skeleton_complex(12, 4)
+    )
+    real = homology.smith_normal_form
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
+    for k in range(c.top_dim + 1):
+        cohomology_Z(c, k)
+        cohomology_mod(c, k, 6)
+    TwistedShape.from_complex(c, 6)
+    assert c.top_dim == 12
+    assert shapes == [b.shape for b in c.boundaries]
 
 
 # --- JSON interchange --------------------------------------------------------
