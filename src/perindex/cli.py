@@ -6,8 +6,9 @@ admissibility, exact cohomology of a cellular complex loaded from JSON, the
 mod-r connecting map, and fixture emission.  Every subcommand takes --json to
 emit a machine-readable envelope {command, inputs, result, citations}.
 
-Exit codes: 0 on success, 1 on a domain error (reported on stderr), 2 on a
-usage error.
+Exit codes: 0 on success, 1 on a domain error (one ``error:`` line on
+stderr), 2 on a usage error, 3 when an internal consistency check fails (one
+``internal error:`` line on stderr; a defect in perindex, not in the input).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _cmd_sandwich(args):
 
 def _cmd_pu_order(args):
     value = bounds.pu_eta_power_order(args.n, args.s)
-    return value, [str(value)], ["projective-unitary-cup-order"]
+    return value, [str(value)], [bounds.TAG_PU_ORDER]
 
 
 def _parse_orders(text: str) -> bounds.OrdersProfile:
@@ -125,21 +126,22 @@ def _parse_orders(text: str) -> bounds.OrdersProfile:
 def _cmd_admissible(args):
     profile = _parse_orders(args.orders)
     ok = bounds.degree_admissible(args.degree, profile)
-    return ok, ["admissible" if ok else "not admissible"], ["cup-order-obstruction"]
+    return ok, ["admissible" if ok else "not admissible"], [bounds.TAG_OBSTRUCTION]
 
 
 def _cmd_min_degree(args):
     profile = _parse_orders(args.orders)
     result = bounds.min_admissible_degree(profile, args.cap)
     if result is None:
-        return None, [f"none-found (searched degrees 2..{args.cap})"], ["cup-order-obstruction"]
-    return result, [str(result)], ["cup-order-obstruction", "degree-forcing-function"]
+        line = f"none-found (the least admissible degree exceeds the cap {args.cap})"
+        return None, [line], [bounds.TAG_OBSTRUCTION]
+    return result, [str(result)], [bounds.TAG_OBSTRUCTION, "degree-forcing-function"]
 
 
 def _cmd_per_ind_check(args):
     ok = bounds.check_per_ind_consistency(args.per, args.ind)
     line = "consistent" if ok else "inconsistent: per must divide ind and share its primes"
-    return ok, [line], ["period-index-prime-support"]
+    return ok, [line], [bounds.TAG_CONSISTENCY]
 
 
 def _cmd_cohomology(args):
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         envelope = {
             "command": args.command,

@@ -1,14 +1,20 @@
 """Exact integer arithmetic underlying every divisibility bound in the package.
 
-Factorizations, p-adic valuations, base-p carry counts, and the two
-binomial-coefficient functions everything else consumes: ``m_closed`` /
+Primality and factorization, p-adic valuations, base-p carry counts, and the
+two binomial-coefficient functions everything else consumes: ``m_closed`` /
 ``m_oracle`` (the gcd of an initial segment of a Pascal-triangle row) and
 ``n_func`` (the divisor that gcd forces on any admissible degree).  All
 arithmetic is arbitrary-precision; there is no overflow regime.
+
+Primality is deterministic Miller-Rabin, exact below about 3.3 * 10**24, and
+factorization splits cofactors with Pollard-Brent rho under a fixed
+iteration budget.  Both refuse with ValueError what they cannot settle
+exactly; neither returns a probable answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,20 +33,58 @@ __all__ = [
 ]
 
 
+# The primes up to 41.  Miller-Rabin to these 13 bases has no strong
+# pseudoprime below _MR_EXACT_BELOW (Sorenson-Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017), so there its verdict is a proof.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+# Iterations of x -> x*x + c that factorize may spend on one cofactor, over
+# all its restarts, before refusing it.  Enough for a cofactor whose smallest
+# prime factor has up to about 40 bits.  Spending it all takes about 3 s on a
+# 100-bit cofactor; the cost of an iteration grows with the cofactor's size.
+_RHO_BUDGET = 1 << 22
+# Products (x - y) mod n accumulated per gcd in Brent's rho.
+_RHO_BATCH = 128
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check; inputs here are degree-sized."""
+    """Exact primality test for any integer, with no probabilistic verdict.
+
+    Trial division by the primes up to 41 settles every p < 43**2.  Above
+    that, the strong (Miller-Rabin) test to the bases 2, 3, ..., 41 runs:
+    a witness proves p composite at any size, and the absence of one proves
+    p prime below 3,317,044,064,679,887,385,961,981.  At or above that bound
+    a p with no witness cannot be certified, and ValueError is raised rather
+    than a guess returned.
+    """
     if p < 2:
         return False
-    if p < 4:
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
         return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
-    return True
+    if p < _MR_EXACT_BELOW:
+        return True
+    raise ValueError(
+        f"cannot certify {p} as prime: it is a strong probable prime to every base "
+        f"up to 41, which proves primality only below {_MR_EXACT_BELOW}"
+    )
 
 
 @dataclass(frozen=True)
@@ -71,25 +115,74 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor up to 41.
+
+    Brent's variant of Pollard's rho ("An improved Monte Carlo factorization
+    algorithm", BIT 1980) with the gcd taken over batches of products.  The
+    constants c = 1, 2, ... and the start 2 are fixed, so the result and the
+    time taken are the same on every run.  Raises ValueError once _RHO_BUDGET
+    iterations are spent without a split.
+    """
+    budget = _RHO_BUDGET
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                raise ValueError(
+                    f"cannot factor {n}: Pollard rho found no factor within "
+                    f"{_RHO_BUDGET} iterations"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            budget -= 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: step back one product at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=None)
 def factorize(a: int) -> Factorization:
-    """Factor a >= 1 by trial division up to sqrt(a)."""
+    """Factor a >= 1 exactly.
+
+    The primes up to 41 are divided out first.  Each remaining cofactor is
+    either certified prime by is_prime or split by Pollard-Brent rho, and
+    the parts are treated the same way until all are prime.  Raises
+    ValueError, and never returns a guess, when a cofactor can be neither
+    certified nor split: a strong probable prime at or above is_prime's
+    exact bound, or a composite that rho does not split within its budget.
+    """
     if a < 1:
         raise ValueError(f"factorize requires a >= 1, got {a}")
-    pairs = []
+    exponents: dict[int, int] = {}
     n = a
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return Factorization(tuple(sorted(exponents.items())))
 
 
 def prime_support(a: int) -> frozenset[int]:

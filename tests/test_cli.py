@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from perindex import cli
 from perindex.cli import main
 from perindex.homology import bzr_skeleton_complex, chain_complex_to_json
 
@@ -114,6 +115,33 @@ def test_domain_error_exit_code(capsys):
     assert "ValueError" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def failing_check(args):
+        raise RuntimeError("Smith decomposition failed: U A V != D")
+
+    monkeypatch.setattr(cli, "_cmd_m", failing_check)
+    code, out, err = run(capsys, "m", "4", "2")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: Smith decomposition failed: U A V != D"]
+
+
+@pytest.mark.parametrize("period", ["10000000000000061", "2305843009213693951"])
+def test_upper_bound_large_prime_period(capsys, period):
+    code, out, err = run(capsys, "upper-bound", "--dim", "5", "--period", period)
+    assert code == 0, err
+    assert "ind divides" in out
+
+
+def test_upper_bound_uncertifiable_period_is_refused(capsys):
+    # a strong pseudoprime to every base up to 41: it can be neither certified nor trusted
+    code, out, err = run(capsys, "upper-bound", "--dim", "5", "--period", "3317044064679887385961981")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_pu_order_and_admissible(capsys):
     assert run(capsys, "pu-order", "4", "2")[1].strip() == "2"
     assert run(capsys, "admissible", "--degree", "4", "--orders", "2,2")[1].strip() == "admissible"
@@ -127,6 +155,7 @@ def test_min_degree(capsys):
     code, out, _ = run(capsys, "min-degree", "--orders", "7,7", "--cap", "6")
     assert code == 0
     assert "none-found" in out
+    assert "exceeds the cap 6" in out
 
 
 def test_per_ind_check(capsys):

@@ -1,11 +1,13 @@
 """Unit and property tests for the exact number-theory core."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perindex import numtheory
 from perindex.numtheory import (
     Factorization,
     factorize,
@@ -20,6 +22,29 @@ from perindex.numtheory import (
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def trial_division(a: int) -> tuple[tuple[int, int], ...]:
+    """Reference factorization: divide by every candidate up to sqrt(a)."""
+    pairs = []
+    n = a
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def trial_is_prime(p: int) -> bool:
+    return p > 1 and trial_division(p) == ((p, 1),)
 
 
 def test_factorize_examples():
@@ -47,6 +72,36 @@ def test_factorization_invariants_enforced():
 @given(st.integers(min_value=1, max_value=100_000))
 def test_factorize_roundtrip(a):
     assert factorize(a).value() == a
+
+
+def test_factorize_matches_trial_division_below_20000():
+    for a in range(1, 20_000):
+        assert factorize(a).pairs == trial_division(a), a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**12))
+def test_factorize_matches_trial_division_up_to_1e12(a):
+    assert factorize(a).pairs == trial_division(a)
+
+
+def test_factorize_large_periods():
+    m61, m31 = 2**61 - 1, 2**31 - 1
+    assert factorize(10**16 + 61).pairs == ((10**16 + 61, 1),)
+    assert factorize(m61).pairs == ((m61, 1),)
+    assert factorize(m31 * m61).pairs == ((m31, 1), (m61, 1))
+    assert factorize(2**64 + 1).pairs == ((274177, 1), (67280421310721, 1))
+    assert factorize(2**5 * 43**2 * 1_000_003**3).pairs == ((2, 5), (43, 2), (1_000_003, 3))
+
+
+def test_factorize_refuses_what_it_cannot_settle(monkeypatch):
+    # a strong pseudoprime to all 13 bases: is_prime cannot certify the cofactor
+    with pytest.raises(ValueError, match="cannot certify"):
+        factorize(MR_EXACT_BELOW)
+    # a semiprime that rho cannot split within a (shrunken) budget
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 64)
+    with pytest.raises(ValueError, match="cannot factor"):
+        factorize(1_000_000_007 * 1_000_000_009)
 
 
 def test_padic_valuation_examples():
@@ -175,3 +230,43 @@ def test_forced_divisor_property(b, a, s):
 def test_is_prime_small():
     primes_below_60 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59}
     assert {p for p in range(60) if is_prime(p)} == primes_below_60
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    for p in range(-2, 20_000):
+        assert is_prime(p) == trial_is_prime(p), p
+
+
+def test_is_prime_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases: a later base is a witness
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    # a strong pseudoprime to all 13 bases: refused, not guessed
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(MR_EXACT_BELOW)
+
+
+def test_is_prime_above_the_exact_bound():
+    m89 = 2**89 - 1
+    # a witness proves compositeness at any size; a prime there cannot be certified
+    assert not is_prime((2**31 - 1) * (2**61 - 1) * m89)
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(m89)
+    with pytest.raises(ValueError, match="cannot certify"):
+        Factorization(((m89, 1),))
+
+
+def test_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20111)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(40, 80))
+        assert is_prime(n) == sympy.isprime(n), n
+        p = sympy.nextprime(n)
+        assert is_prime(p), p
+    for _ in range(40):
+        n = rng.getrandbits(rng.randint(40, 80)) | 1
+        assert dict(factorize(n).pairs) == sympy.factorint(n), n
+    for _ in range(10):
+        p, q = (sympy.nextprime(rng.getrandbits(rng.randint(20, 36))) for _ in range(2))
+        assert dict(factorize(p * q).pairs) == sympy.factorint(p * q), (p, q)
