@@ -1,13 +1,17 @@
 """Exact cellular cohomology over Z and Z/r via Smith normal form.
 
-Everything here is dense arbitrary-precision integer linear algebra: matrices
-are rows of Python ints, and Smith decompositions carry their unimodular
-change of basis matrices together with explicit inverses.  Cohomology groups
-follow from the invariant factors of the boundary maps by the universal
-coefficient theorem, each boundary reduced once per complex.  Generating
-cochains are built only where classes must be named: the generators of
-integral cohomology and the connecting map of the coefficient sequence
-Z -> Z -> Z/r.
+Everything here is exact arbitrary-precision integer linear algebra:
+matrices are rows of Python ints, and Smith decompositions carry their
+unimodular change of basis matrices together with explicit inverses.
+Products skip zero entries and treat +-1 as addition and subtraction, which
+suits the sparse 0/+-1 boundary matrices of cell complexes.  A decomposition
+U A V = D is verified without a triple product: V v_inv = I, U u_inv = I and
+U A = D v_inv for square U and V, which together imply U A V = D.
+Cohomology groups follow from the invariant factors of the boundary maps by
+the universal coefficient theorem, each boundary reduced once per complex.
+Generating cochains are built only where classes must be named: the
+generators of integral cohomology and the connecting map of the coefficient
+sequence Z -> Z -> Z/r.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
 degree k+1, and cohomology generators live in the basis supplied by the V
@@ -19,6 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, mul, sub
 
 from .stable_tables import FinAbGroup
 
@@ -48,8 +54,18 @@ class ComplexFormatError(ValueError):
     """Raised by chain-complex validation and the JSON loader."""
 
 
+def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
+    """The row x + c * y, with c = +-1 as plain addition or subtraction."""
+    if c == 1:
+        return list(map(add, x, y))
+    if c == -1:
+        return list(map(sub, x, y))
+    return [p + c * q for p, q in zip(x, y)]
+
+
 class IntMatrix:
-    """Dense integer matrix; either dimension may be zero."""
+    """Integer matrix stored as rows of Python ints; either dimension may be
+    zero.  Products skip the zero entries of the left factor."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -71,43 +87,65 @@ class IntMatrix:
         self.data = data
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
+    def _trusted(cls, rows: int, cols: int, data: list[list[int]]) -> "IntMatrix":
+        """Wrap rows of ints that this module built itself, without copying
+        or checking them; the rows must not be shared with a caller."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
         return m
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        data = [[0] * n for _ in range(n)]
+        for i in range(n):
+            data[i][i] = 1
+        return cls._trusted(n, n, data)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def transpose(self) -> "IntMatrix":
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return IntMatrix(self.cols, self.rows, data)
+        if not self.rows:
+            return IntMatrix(self.cols, 0)
+        return IntMatrix._trusted(self.cols, self.rows, [list(col) for col in zip(*self.data)])
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product is the sum of a * (row j of other) over the
+        nonzero entries a = self[i][j], with a = +-1 as plain addition or
+        subtraction.  A row with more nonzero entries than half its length
+        takes dot products with the columns of other instead, which cost less
+        per entry when almost no term is skipped."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        out = IntMatrix(self.rows, other.cols)
-        bt = list(zip(*other.data)) if other.rows and other.cols else []
-        for i, row in enumerate(self.data):
-            out_row = out.data[i]
-            for j, col in enumerate(bt):
-                out_row[j] = sum(a * b for a, b in zip(row, col))
-        return out
+        b, width = other.data, other.cols
+        columns = None
+        out = []
+        for row in self.data:
+            support = list(compress(range(self.cols), row))
+            if 2 * len(support) > self.cols:
+                if columns is None:
+                    columns = list(zip(*b))
+                out.append([sum(map(mul, row, col)) for col in columns])
+                continue
+            acc = [0] * width
+            for j in support:
+                acc = _axpy(acc, b[j], row[j])
+            out.append(acc)
+        return IntMatrix._trusted(self.rows, width, out)
 
     def apply(self, vec) -> list[int]:
         """Matrix-vector product."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} does not match {self.shape}")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
+        return [sum(map(mul, row, vec)) for row in self.data]
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -149,7 +187,7 @@ class IntMatrix:
 def _hconcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row mismatch in horizontal concatenation")
-    return IntMatrix(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.data, b.data)])
+    return IntMatrix._trusted(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.data, b.data)])
 
 
 def _diagonal(entries) -> IntMatrix:
@@ -179,14 +217,25 @@ class SmithDecomposition:
         return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
 
     def verify(self, a: IntMatrix) -> None:
-        """Re-check every invariant against the source matrix; raises on failure."""
-        if self.U @ a @ self.V != self.D:
-            raise RuntimeError("Smith decomposition failed: U A V != D")
-        if self.U @ self.u_inv != IntMatrix.identity(self.U.rows):
-            raise RuntimeError("Smith decomposition failed: U inverse witness")
-        if self.V @ self.v_inv != IntMatrix.identity(self.V.rows):
-            raise RuntimeError("Smith decomposition failed: V inverse witness")
+        """Re-check every invariant against the source matrix; raises
+        RuntimeError on failure.
+
+        Shapes, the form of D (diagonal, nonnegative, zeros trailing, the
+        divisibility chain) and the rank are read off directly.  Then
+        V @ v_inv == I, U @ u_inv == I and U @ A == D @ v_inv are checked by
+        exact multiplication, where D @ v_inv is row i of v_inv scaled by
+        d_i.  Together these are equivalent to U @ A @ V == D with both
+        witnesses inverse: V is square, so V @ v_inv == I gives
+        v_inv @ V == I, and then U @ A @ V == D @ v_inv @ V == D.  No
+        product of three matrices is formed.
+        """
+        m, n = a.shape
+        shapes = (self.U.shape, self.u_inv.shape, self.D.shape, self.V.shape, self.v_inv.shape)
+        if shapes != ((m, m), (m, m), (m, n), (n, n), (n, n)):
+            raise RuntimeError("Smith decomposition failed: shapes")
         diag = self.diagonal()
+        if any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(self.D.data)):
+            raise RuntimeError("Smith decomposition failed: D not diagonal")
         for i, d in enumerate(diag):
             if d < 0:
                 raise RuntimeError("Smith decomposition failed: negative diagonal")
@@ -194,76 +243,79 @@ class SmithDecomposition:
                 raise RuntimeError("Smith decomposition failed: zeros must trail")
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
-        for i in range(self.D.rows):
-            for j in range(self.D.cols):
-                if i != j and self.D.data[i][j] != 0:
-                    raise RuntimeError("Smith decomposition failed: D not diagonal")
         if self.rank != sum(1 for d in diag if d):
             raise RuntimeError("Smith decomposition failed: rank mismatch")
+        if self.V @ self.v_inv != IntMatrix.identity(n):
+            raise RuntimeError("Smith decomposition failed: V inverse witness")
+        if self.U @ self.u_inv != IntMatrix.identity(m):
+            raise RuntimeError("Smith decomposition failed: U inverse witness")
+        d_v_inv = [[d * x for x in row] for d, row in zip(diag, self.v_inv.data)]
+        d_v_inv += [[0] * n for _ in range(m - len(diag))]
+        if (self.U @ a).data != d_v_inv:
+            raise RuntimeError("Smith decomposition failed: U A != D V^-1")
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Pivoting always selects a minimal-absolute-value nonzero entry of the
-    remaining block and reduces its row and column by floor division, so every
-    round either clears the cross or strictly shrinks the pivot; a final fold
+    Pivoting always selects the first entry of minimal absolute value in
+    row-major order of the remaining block (the scan stops at the first
+    unit) and reduces its row and column by floor division, so every round
+    either clears the cross or strictly shrinks the pivot; a final fold
     guarantees the pivot divides the remaining block before advancing, which
-    makes the divisibility chain automatic.  Entries are arbitrary-precision,
-    so coefficient growth only ever costs time, never correctness.  The
-    decomposition is re-verified by multiplication before being returned.
+    makes the divisibility chain automatic (a unit pivot divides everything,
+    so it needs no fold).  Entries are arbitrary-precision, so coefficient
+    growth only ever costs time, never correctness.
+
+    u_inv and V, on which the operations act by columns, are held transposed
+    until the end, so an operation updates each witness it changes with one
+    whole-row list operation instead of a loop over all rows.  A column
+    operation changes only the pivot row of the working matrix, because the
+    pivot column is zero off the pivot by then.  The result is checked
+    exactly by SmithDecomposition.verify (V @ v_inv == I, U @ u_inv == I and
+    U @ A == D @ v_inv, with row-sparse products) before it is returned.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
     u = IntMatrix.identity(m).data
-    ui = IntMatrix.identity(m).data
-    v = IntMatrix.identity(n).data
+    ui_t = IntMatrix.identity(m).data  # u_inv transposed
+    v_t = IntMatrix.identity(n).data  # V transposed
     vi = IntMatrix.identity(n).data
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for row in ui:
-            row[i], row[j] = row[j], row[i]
+        ui_t[i], ui_t[j] = ui_t[j], ui_t[i]
 
     def col_swap(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
         vi[i], vi[j] = vi[j], vi[i]
 
     def row_negate(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for row in ui:
-            row[i] = -row[i]
+        ui_t[i] = [-x for x in ui_t[i]]
 
     def row_addmul(dst, src, c):
-        # row_dst += c * row_src on S and U; the inverse op acts on ui columns
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        for row in ui:
-            row[src] -= c * row[dst]
-
-    def col_addmul(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-        vi[src] = [x - c * y for x, y in zip(vi[src], vi[dst])]
+        # row_dst += c * row_src on S and U; the inverse op acts on u_inv columns
+        s[dst] = _axpy(s[dst], s[src], c)
+        u[dst] = _axpy(u[dst], u[src], c)
+        ui_t[src] = _axpy(ui_t[src], ui_t[dst], -c)
 
     t = 0
     while t < m and t < n:
-        best = None
+        best = 0
         for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+            low = min(map(abs, filter(None, s[i][t:])), default=0)
+            if low and (not best or low < best):
+                best, pi = low, i
+                if best == 1:
+                    break
+        if not best:
             break
-        _, pi, pj = best
+        pj = next(j for j in range(t, n) if abs(s[pi][j]) == best)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -281,31 +333,34 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     dirty = True
         if dirty:
             continue
+        pivot_row = s[t]
         for j in range(t + 1, n):
-            if s[t][j]:
-                q = s[t][j] // pivot
+            if pivot_row[j]:
+                q = pivot_row[j] // pivot
                 if q:
-                    col_addmul(j, t, -q)
-                if s[t][j]:
+                    # column j -= q * column t, which is zero off row t
+                    pivot_row[j] -= q * pivot
+                    v_t[j] = _axpy(v_t[j], v_t[t], -q)
+                    vi[t] = _axpy(vi[t], vi[j], q)
+                if pivot_row[j]:
                     dirty = True
         if dirty:
             continue
-        offender = None
-        for i in range(t + 1, m):
-            if any(s[i][j] % pivot for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender is not None:
-            row_addmul(t, offender, 1)
-            continue
+        if pivot != 1:
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % pivot for x in s[i][t + 1 :])), None
+            )
+            if offender is not None:
+                row_addmul(t, offender, 1)
+                continue
         t += 1
 
     decomposition = SmithDecomposition(
-        U=IntMatrix(m, m, u),
-        D=IntMatrix(m, n, s),
-        V=IntMatrix(n, n, v),
-        u_inv=IntMatrix(m, m, ui),
-        v_inv=IntMatrix(n, n, vi),
+        U=IntMatrix._trusted(m, m, u),
+        D=IntMatrix._trusted(m, n, s),
+        V=IntMatrix._trusted(n, n, v_t).transpose(),
+        u_inv=IntMatrix._trusted(m, m, ui_t).transpose(),
+        v_inv=IntMatrix._trusted(n, n, vi),
         rank=t,
     )
     decomposition.verify(a)
@@ -343,11 +398,11 @@ class ChainComplex:
         for k in range(1, len(boundaries)):
             product = boundaries[k - 1] @ boundaries[k]
             for i, row in enumerate(product.data):
-                for j, x in enumerate(row):
-                    if x != 0:
-                        raise ComplexFormatError(
-                            f"boundary composition is nonzero at k={k}, row={i}, col={j}"
-                        )
+                if any(row):
+                    j = next(j for j, x in enumerate(row) if x)
+                    raise ComplexFormatError(
+                        f"boundary composition is nonzero at k={k}, row={i}, col={j}"
+                    )
         self.name = name
         self.cell_counts = cell_counts
         self.boundaries = boundaries
@@ -430,13 +485,13 @@ class _IntegralClasses:
         snf_out = smith_normal_form(c.coboundary(k))
         rank = snf_out.rank
         dim_ker = n_k - rank
-        kernel_basis = IntMatrix(n_k, dim_ker, [row[rank:] for row in snf_out.V.data])
+        kernel_basis = IntMatrix._trusted(n_k, dim_ker, [row[rank:] for row in snf_out.V.data])
         incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
         w = snf_out.v_inv @ incoming
         for i in range(rank):
             if any(w.data[i]):
                 raise RuntimeError("incoming image escapes the kernel; complex is invalid")
-        image_in_kernel = IntMatrix(dim_ker, incoming.cols, w.data[rank:])
+        image_in_kernel = IntMatrix._trusted(dim_ker, incoming.cols, w.data[rank:])
         snf_q = smith_normal_form(image_in_kernel)
         orders = [
             snf_q.D.data[i][i] if i < snf_q.rank else 0 for i in range(dim_ker)
@@ -497,7 +552,7 @@ class _ModClasses:
         scales = [
             r // math.gcd(snf_out.D.data[i][i], r) if i < rank else 1 for i in range(n_k)
         ]
-        lattice_basis = IntMatrix(
+        lattice_basis = IntMatrix._trusted(
             n_k, n_k, [[x * scales[j] for j, x in enumerate(row)] for row in snf_out.V.data]
         )
         incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
@@ -508,7 +563,7 @@ class _ModClasses:
             if any(val % scales[i] for val in row):
                 raise RuntimeError("sublattice escapes the mod-r cocycle lattice")
             x_rows.append([val // scales[i] for val in row])
-        rel = IntMatrix(n_k, sub_gens.cols, x_rows)
+        rel = IntMatrix._trusted(n_k, sub_gens.cols, x_rows)
         snf_q = smith_normal_form(rel)
         if snf_q.rank != n_k:
             raise RuntimeError("mod-r cohomology in one degree must be finite")

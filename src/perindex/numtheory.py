@@ -7,9 +7,10 @@ two binomial-coefficient functions everything else consumes: ``m_closed`` /
 arithmetic is arbitrary-precision; there is no overflow regime.
 
 Primality is deterministic Miller-Rabin, exact below about 3.3 * 10**24, and
-factorization splits cofactors with Pollard-Brent rho under a fixed
-iteration budget.  Both refuse with ValueError what they cannot settle
-exactly; neither returns a probable answer.
+factorization splits cofactors with Pollard-Brent rho under an iteration
+budget that shrinks with the cofactor's size, so refusing one takes about
+the same time at any size.  Both refuse with ValueError what they cannot
+settle exactly; neither returns a probable answer.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ __all__ = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
-# Iterations of x -> x*x + c that factorize may spend on one cofactor, over
-# all its restarts, before refusing it.  Enough for a cofactor whose smallest
-# prime factor has up to about 40 bits.  Spending it all takes about 3 s on a
-# 100-bit cofactor; the cost of an iteration grows with the cofactor's size.
+# Iterations of x -> x*x + c that factorize may spend on one cofactor of up
+# to _RHO_FULL_BITS bits, over all its restarts, before refusing it.  Enough
+# for a cofactor whose smallest prime factor has up to about 40 bits.
+# Spending it all takes a few seconds; larger cofactors get less (_rho_budget).
 _RHO_BUDGET = 1 << 22
+_RHO_FULL_BITS = 128
 # Products (x - y) mod n accumulated per gcd in Brent's rho.
 _RHO_BATCH = 128
 
@@ -115,23 +117,37 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
+def _rho_budget(n: int) -> int:
+    """Iterations rho may spend on the cofactor n: _RHO_BUDGET up to
+    _RHO_FULL_BITS bits, then that scaled by (_RHO_FULL_BITS / bits)**2.
+
+    One iteration squares and reduces a number of n's size, which costs time
+    growing about quadratically with its bit length, so the time to refuse a
+    hard cofactor stays near that of a 128-bit one, whatever its size.
+    """
+    bits = n.bit_length()
+    if bits <= _RHO_FULL_BITS:
+        return _RHO_BUDGET
+    return _RHO_BUDGET * _RHO_FULL_BITS**2 // bits**2
+
+
 def _rho_factor(n: int) -> int:
     """A proper divisor of the composite n, which has no prime factor up to 41.
 
     Brent's variant of Pollard's rho ("An improved Monte Carlo factorization
     algorithm", BIT 1980) with the gcd taken over batches of products.  The
     constants c = 1, 2, ... and the start 2 are fixed, so the result and the
-    time taken are the same on every run.  Raises ValueError once _RHO_BUDGET
-    iterations are spent without a split.
+    time taken are the same on every run.  Raises ValueError once
+    _rho_budget(n) iterations are spent without a split.
     """
-    budget = _RHO_BUDGET
+    budget = total = _rho_budget(n)
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             if 2 * r > budget:
                 raise ValueError(
                     f"cannot factor {n}: Pollard rho found no factor within "
-                    f"{_RHO_BUDGET} iterations"
+                    f"{total} iterations"
                 )
             x = y
             for _ in range(r):

@@ -1,9 +1,11 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
+import dataclasses
 import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,10 +66,87 @@ def test_det_examples():
 
 
 def test_entries_must_be_integers():
-    with pytest.raises(ValueError):
-        IntMatrix(1, 1, [[1.5]])
-    with pytest.raises(ValueError):
-        IntMatrix(1, 1, [[True]])
+    for bad in (1.5, 2.0, True, False, "1", None):
+        with pytest.raises(ValueError):
+            IntMatrix(1, 1, [[bad]])
+        with pytest.raises(ValueError):
+            IntMatrix(2, 2, [[0, 1], [-1, bad]])
+
+
+def naive_product(a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
+    """Triple-loop product of an m x k and a k x width matrix."""
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(width)]
+        for i in range(len(a))
+    ]
+
+
+def naive_transpose(a: list[list[int]], cols: int) -> list[list[int]]:
+    return [[a[i][j] for i in range(len(a))] for j in range(cols)]
+
+
+HUGE = 1 << 3000
+# Mostly 0 and +-1, as in boundary matrices, with some 3,000-bit entries.
+mixed_entries = st.one_of(
+    st.just(0),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-HUGE, max_value=HUGE),
+)
+
+
+def matrices(rows: int, cols: int, entries=mixed_entries):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.data(),
+)
+def test_matmul_and_transpose_match_naive_oracle(m, k, p, data):
+    a = data.draw(matrices(m, k))
+    b = data.draw(matrices(k, p))
+    vec = data.draw(st.lists(mixed_entries, min_size=k, max_size=k))
+    left, right = IntMatrix(m, k, a), IntMatrix(k, p, b)
+    product = left @ right
+    assert product.shape == (m, p)
+    assert product.data == naive_product(a, b, p)
+    assert left.transpose().shape == (k, m)
+    assert left.transpose().data == naive_transpose(a, k)
+    assert left.apply(vec) == [row[0] for row in naive_product(a, [[x] for x in vec], 1)]
+    # results share no rows with their factors
+    for row in product.data + left.transpose().data:
+        row.append(0)
+    assert left.data == a and right.data == b
+
+
+@pytest.mark.parametrize("m, k, p", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)])
+def test_matmul_edge_shapes(m, k, p):
+    rng = random.Random(m * 100 + k * 10 + p)
+    for entries in ([-1, 0, 1], [0, HUGE - 1, -HUGE + 3]):
+        a = [[rng.choice(entries) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice(entries) for _ in range(p)] for _ in range(k)]
+        product = IntMatrix(m, k, a) @ IntMatrix(k, p, b)
+        assert product.shape == (m, p)
+        assert product.data == naive_product(a, b, p)
+        assert IntMatrix(m, k, a).transpose() == IntMatrix(k, m, naive_transpose(a, k))
+
+
+def test_matmul_dense_and_sparse_rows_agree():
+    # rows above and below the half-full threshold, +-1 and general entries
+    rng = random.Random(11)
+    for density in (0.1, 0.5, 0.6, 1.0):
+        a = [
+            [rng.choice([1, -1, 7, -(1 << 200)]) if rng.random() < density else 0
+             for _ in range(12)]
+            for _ in range(9)
+        ]
+        b = [[rng.randint(-(1 << 300), 1 << 300) for _ in range(5)] for _ in range(12)]
+        assert (IntMatrix(9, 12, a) @ IntMatrix(12, 5, b)).data == naive_product(a, b, 5)
 
 
 # --- Smith normal form -------------------------------------------------------
@@ -116,6 +195,98 @@ def test_snf_roundtrip_property(rows, cols, data):
     d = smith_normal_form(a)
     assert d.U @ a @ d.V == d.D
     assert d.rank == sum(1 for x in d.diagonal() if x)
+
+
+def _swap_rows(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    data = m.to_lists()
+    data[i], data[j] = data[j], data[i]
+    return IntMatrix(m.rows, m.cols, data)
+
+
+def _edit(m: IntMatrix, i: int, j: int, delta: int) -> IntMatrix:
+    data = m.to_lists()
+    data[i][j] += delta
+    return IntMatrix(m.rows, m.cols, data)
+
+
+def _verify_mutants():
+    """(matrix, decomposition, message) triples: each decomposition breaks
+    SmithDecomposition.verify at the named check, and most keep every other
+    invariant intact, so that check alone must catch it."""
+    a = IntMatrix(3, 4, [[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]])
+    good = smith_normal_form(a)
+    assert good.diagonal() == (1, 2, 0)
+    replace = dataclasses.replace
+    T = IntMatrix.transpose
+    out = []
+    for field, message in (
+        ("U", "U inverse witness"),
+        ("u_inv", "U inverse witness"),
+        ("V", "V inverse witness"),
+        ("v_inv", "V inverse witness"),
+    ):
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            matrix = getattr(good, field)
+            out.append((a, replace(good, **{field: _edit(matrix, i, j, 1)}), message))
+    out.append((a, replace(good, D=_edit(good.D, 0, 1, 1)), "D not diagonal"))
+    out.append((a, replace(good, D=_edit(good.D, 2, 3, -5)), "D not diagonal"))
+    # -d_1 with row 1 of U and column 1 of u_inv negated: U A V == D still holds
+    flip = IntMatrix(3, 3, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    out.append((
+        a,
+        replace(good, U=flip @ good.U, D=flip @ good.D, u_inv=good.u_inv @ flip),
+        "negative diagonal",
+    ))
+    # d_1 and d_2 = 0 swapped by the same permutation on both sides
+    out.append((
+        a,
+        replace(
+            good,
+            U=_swap_rows(good.U, 1, 2),
+            u_inv=T(_swap_rows(T(good.u_inv), 1, 2)),
+            D=T(_swap_rows(T(_swap_rows(good.D, 1, 2)), 1, 2)),
+            V=T(_swap_rows(T(good.V), 1, 2)),
+            v_inv=_swap_rows(good.v_inv, 1, 2),
+        ),
+        "zeros must trail",
+    ))
+    # diag(2, 3) is its own exact decomposition, but 2 does not divide 3
+    b = IntMatrix(2, 2, [[2, 0], [0, 3]])
+    one = IntMatrix.identity(2)
+    chain_broken = homology.SmithDecomposition(one, b, one, one, one, 2)
+    out.append((b, chain_broken, "divisibility chain"))
+    out.append((a, replace(good, rank=3), "rank mismatch"))
+    out.append((a, replace(good, rank=1), "rank mismatch"))
+    # Inverse witnesses correct, U A V != D: change basis by an elementary
+    # matrix E on one side, with E^-1 on the witness.
+    e = IntMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+    e_inv = IntMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, -1, 1]])
+    out.append((a, replace(good, U=e @ good.U, u_inv=good.u_inv @ e_inv), "U A != D V^-1"))
+    f = IntMatrix(4, 4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    f_inv = IntMatrix(4, 4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    out.append((a, replace(good, V=good.V @ f, v_inv=f_inv @ good.v_inv), "U A != D V^-1"))
+    # A wide V with a one-sided inverse: V @ v_inv == I but V is not square.
+    c = IntMatrix(1, 1, [[2]])
+    one = IntMatrix.identity(1)
+    wide = homology.SmithDecomposition(
+        one, c, IntMatrix(1, 2, [[1, 0]]), one, IntMatrix(2, 1, [[1], [0]]), 1
+    )
+    out.append((c, wide, "shapes"))
+    return out
+
+
+def test_verify_catches_every_mutation():
+    mutants = _verify_mutants()
+    for a, decomposition, message in mutants:
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            decomposition.verify(a)
+    # the inverse witnesses hold in the mutants aimed at the final identity,
+    # and the old triple product tells them apart from a valid decomposition
+    for a, decomposition, message in mutants:
+        if message == "U A != D V^-1":
+            assert decomposition.U @ decomposition.u_inv == IntMatrix.identity(3)
+            assert decomposition.V @ decomposition.v_inv == IntMatrix.identity(4)
+            assert decomposition.U @ a @ decomposition.V != decomposition.D
 
 
 # --- Chain complexes ---------------------------------------------------------

@@ -100,8 +100,33 @@ def test_factorize_refuses_what_it_cannot_settle(monkeypatch):
         factorize(MR_EXACT_BELOW)
     # a semiprime that rho cannot split within a (shrunken) budget
     monkeypatch.setattr(numtheory, "_RHO_BUDGET", 64)
-    with pytest.raises(ValueError, match="cannot factor"):
+    with pytest.raises(ValueError, match="cannot factor .* within 64 iterations"):
         factorize(1_000_000_007 * 1_000_000_009)
+
+
+def test_rho_budget_shrinks_with_bit_length():
+    budget = numtheory._rho_budget
+    full = 1 << 22
+    for bits in (2, 40, 64, 100, 127, 128):
+        assert budget((1 << bits) - 1) == full
+    assert budget(1 << 128) == full * 128**2 // 129**2
+    assert budget(1 << 255) == 1 << 20
+    assert budget(1 << 1023) == 1 << 16
+    assert budget(1 << 4095) == 1 << 12
+    previous = full
+    for bits in range(129, 5000, 37):
+        n = (1 << bits) - 1
+        assert budget(n) <= previous
+        # budget times a cost quadratic in the bit length stays within that of 128 bits
+        assert budget(n) * bits**2 <= full * 128**2
+        previous = budget(n)
+
+
+def test_large_cofactor_refused_within_its_scaled_budget(monkeypatch):
+    # M521 * M607 has 1128 bits: 2**16 * (128 / 1128)**2 iterations, rounded down
+    monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 16)
+    with pytest.raises(ValueError, match="cannot factor .* within 843 iterations"):
+        factorize((2**521 - 1) * (2**607 - 1))
 
 
 def test_padic_valuation_examples():
