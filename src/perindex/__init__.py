@@ -2,7 +2,8 @@
 
 Upper and lower bounds on the index of a torsion degree-3 cohomology class
 from its period and the dimension (or the full cellular cochain data) of the
-space carrying it, with brute-force oracles alongside every closed form.
+space carrying it.  The test suite checks every closed form against a
+brute-force oracle.
 """
 
 from .numtheory import (
@@ -12,7 +13,6 @@ from .numtheory import (
     is_prime,
     kummer_carries,
     m_closed,
-    m_oracle,
     n_func,
     padic_valuation,
     prime_support,

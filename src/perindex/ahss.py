@@ -12,7 +12,6 @@ are 2-periodic Z, 0, Z, 0, ... so only odd differentials leave degree zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .bounds import (
 )
 from .homology import ChainComplex, CohomologyGroup, cohomology_Z
 from .numtheory import factorize
-from .stable_tables import ExponentEntry, ExponentTable, _is_int, r_primary_exponent
+from .stable_tables import ExponentEntry, ExponentTable, _is_int, _read_json, r_primary_exponent
 
 __all__ = [
     "TwistedShape",
@@ -107,8 +106,7 @@ def twisted_shape_from_json(obj) -> TwistedShape:
 
 
 def load_twisted_shape(path) -> TwistedShape:
-    with open(path, encoding="utf-8") as fh:
-        return twisted_shape_from_json(json.load(fh))
+    return twisted_shape_from_json(_read_json(path))
 
 
 def ku_ahss_upper_bound(shape: TwistedShape) -> BoundReport:

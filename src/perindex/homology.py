@@ -7,26 +7,28 @@ Products skip zero entries and treat +-1 as addition and subtraction, which
 suits the sparse 0/+-1 boundary matrices of cell complexes.  A decomposition
 U A V = D is verified without a triple product: V v_inv = I, U u_inv = I and
 U A = D v_inv for square U and V, which together imply U A V = D.
-Cohomology groups follow from the invariant factors of the boundary maps by
-the universal coefficient theorem, each boundary reduced once per complex.
-Generating cochains are built only where classes must be named: the
-generators of integral cohomology and the connecting map of the coefficient
-sequence Z -> Z -> Z/r.
+Cohomology groups, and the connecting map of the coefficient sequence
+Z -> Z -> Z/r written in Smith-adapted bases, follow from the invariant
+factors of the boundary maps by the universal coefficient theorem; each
+nonzero boundary is reduced once per complex.  Witnesses (generating
+cochains) are built only where classes must be named: by
+cohomology_generators_Z and bockstein_of_cocycle.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
-degree k+1, and cohomology generators live in the basis supplied by the V
-matrix of the relevant Smith decomposition.
+degree k+1.  Smith-adapted bases come from a decomposition
+U delta_k V = D with nonzero diagonal d_1 | ... | d_q: the columns of u_inv
+with d_i > 1 generate the torsion of H^(k+1)(X; Z), and the columns of V
+past q span the degree-k cocycles.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, mul, sub
 
-from .stable_tables import FinAbGroup
+from .stable_tables import FinAbGroup, _read_json
 
 __all__ = [
     "IntMatrix",
@@ -396,8 +398,12 @@ class ChainComplex:
                     f"({cell_counts[k - 1]}, {cell_counts[k]})"
                 )
         for k in range(1, len(boundaries)):
-            product = boundaries[k - 1] @ boundaries[k]
-            for i, row in enumerate(product.data):
+            # a zero row of d_k gives a zero row of d_k d_(k+1): multiply the others only
+            left = boundaries[k - 1].data
+            support = [i for i, row in enumerate(left) if any(row)]
+            nonzero_rows = [left[i] for i in support]
+            product = IntMatrix._trusted(len(support), cell_counts[k], nonzero_rows) @ boundaries[k]
+            for i, row in zip(support, product.data):
                 if any(row):
                     j = next(j for j, x in enumerate(row) if x)
                     raise ComplexFormatError(
@@ -428,16 +434,15 @@ class ChainComplex:
 
     def _nonzero_factors(self, k: int) -> tuple[int, ...]:
         """Nonzero invariant factors of the degree-k boundary, empty for k
-        outside 1..top_dim.  Each boundary is reduced once per complex."""
+        outside 1..top_dim and for a zero boundary.  Each nonzero boundary is
+        reduced once per complex."""
         if not 1 <= k <= self.top_dim:
             return ()
         if k not in self._factors:
-            diagonal = smith_normal_form(self.boundary(k)).diagonal()
+            b = self.boundary(k)
+            diagonal = () if b.is_zero() else smith_normal_form(b).diagonal()
             self._factors[k] = tuple(d for d in diagonal if d)
         return self._factors[k]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * c for k, c in enumerate(self.cell_counts))
 
     def __repr__(self) -> str:
         return f"ChainComplex(name={self.name!r}, cell_counts={self.cell_counts})"
@@ -471,136 +476,6 @@ def _check_degree(c: ChainComplex, k: int) -> None:
         raise ValueError(f"degree {k} out of range 0..{c.top_dim}")
 
 
-class _IntegralClasses:
-    """Integral cohomology in one degree with explicit generator cochains.
-
-    Kernel coordinates come from the V basis of the coboundary's Smith
-    decomposition; quotient coordinates from the U basis of the Smith
-    decomposition of the incoming image written in kernel coordinates.
-    """
-
-    def __init__(self, c: ChainComplex, k: int):
-        _check_degree(c, k)
-        n_k = c.cell_counts[k]
-        snf_out = smith_normal_form(c.coboundary(k))
-        rank = snf_out.rank
-        dim_ker = n_k - rank
-        kernel_basis = IntMatrix._trusted(n_k, dim_ker, [row[rank:] for row in snf_out.V.data])
-        incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
-        w = snf_out.v_inv @ incoming
-        for i in range(rank):
-            if any(w.data[i]):
-                raise RuntimeError("incoming image escapes the kernel; complex is invalid")
-        image_in_kernel = IntMatrix._trusted(dim_ker, incoming.cols, w.data[rank:])
-        snf_q = smith_normal_form(image_in_kernel)
-        orders = [
-            snf_q.D.data[i][i] if i < snf_q.rank else 0 for i in range(dim_ker)
-        ]
-        self.degree = k
-        self._rank = rank
-        self._v_inv = snf_out.v_inv
-        self._kernel_basis = kernel_basis
-        self._uq = snf_q.U
-        self._uq_inv = snf_q.u_inv
-        self._orders = orders
-        self.group = CohomologyGroup(
-            degree=k,
-            free_rank=sum(1 for d in orders if d == 0),
-            torsion=tuple(d for d in orders if d > 1),
-        )
-
-    def class_coordinates(self, cochain) -> tuple[int, ...]:
-        """Coordinates of an integer cocycle in the generator basis: torsion
-        coordinates reduced modulo their orders, then free coordinates."""
-        full = self._v_inv.apply(cochain)
-        if any(full[: self._rank]):
-            raise ValueError("cochain is not a cocycle")
-        quotient = self._uq.apply(full[self._rank :])
-        coords = []
-        for b, d in zip(quotient, self._orders):
-            if d == 1:
-                continue
-            coords.append(b % d if d > 1 else b)
-        return tuple(coords)
-
-    def generators(self) -> list[tuple[list[int], int]]:
-        """(cochain, order) pairs for the generators; order 0 means free."""
-        out = []
-        for i, d in enumerate(self._orders):
-            if d == 1:
-                continue
-            out.append((self._kernel_basis.apply(self._uq_inv.column(i)), d))
-        return out
-
-
-class _ModClasses:
-    """Mod-r cohomology in one degree, computed at the cochain level.
-
-    A mod-r cocycle lifts to an integer cochain x with delta(x) divisible by
-    r; those lifts form a lattice L spanned by suitably rescaled V columns of
-    the coboundary's Smith decomposition, and the group is L modulo integral
-    coboundaries and r times everything.
-    """
-
-    def __init__(self, c: ChainComplex, k: int, r: int):
-        _check_degree(c, k)
-        if r < 2:
-            raise ValueError(f"modulus must be >= 2, got {r}")
-        n_k = c.cell_counts[k]
-        snf_out = smith_normal_form(c.coboundary(k))
-        rank = snf_out.rank
-        scales = [
-            r // math.gcd(snf_out.D.data[i][i], r) if i < rank else 1 for i in range(n_k)
-        ]
-        lattice_basis = IntMatrix._trusted(
-            n_k, n_k, [[x * scales[j] for j, x in enumerate(row)] for row in snf_out.V.data]
-        )
-        incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
-        sub_gens = _hconcat(incoming, _diagonal([r] * n_k))
-        w = snf_out.v_inv @ sub_gens
-        x_rows = []
-        for i, row in enumerate(w.data):
-            if any(val % scales[i] for val in row):
-                raise RuntimeError("sublattice escapes the mod-r cocycle lattice")
-            x_rows.append([val // scales[i] for val in row])
-        rel = IntMatrix._trusted(n_k, sub_gens.cols, x_rows)
-        snf_q = smith_normal_form(rel)
-        if snf_q.rank != n_k:
-            raise RuntimeError("mod-r cohomology in one degree must be finite")
-        orders = [snf_q.D.data[i][i] for i in range(n_k)]
-        if any(r % d for d in orders):
-            raise RuntimeError("mod-r cohomology must be annihilated by r")
-        self.degree = k
-        self.modulus = r
-        self._rank = rank
-        self._v_inv = snf_out.v_inv
-        self._scales = scales
-        self._lattice_basis = lattice_basis
-        self._uq = snf_q.U
-        self._uq_inv = snf_q.u_inv
-        self._orders = orders
-        self.group = CohomologyGroup(
-            degree=k, free_rank=0, torsion=tuple(d for d in orders if d > 1)
-        )
-
-    def class_coordinates(self, cochain) -> tuple[int, ...]:
-        full = self._v_inv.apply(cochain)
-        lattice_coords = []
-        for a, scale in zip(full, self._scales):
-            if a % scale:
-                raise ValueError("cochain is not a cocycle mod r")
-            lattice_coords.append(a // scale)
-        quotient = self._uq.apply(lattice_coords)
-        return tuple(b % d for b, d in zip(quotient, self._orders) if d > 1)
-
-    def generators(self) -> list[tuple[list[int], int]]:
-        out = []
-        for i, d in enumerate(self._orders):
-            if d > 1:
-                out.append((self._lattice_basis.apply(self._uq_inv.column(i)), d))
-        return out
-
-
 def _invariant_form(orders) -> tuple[int, ...]:
     """Invariant factors of the direct sum of the cyclic groups Z/o.
 
@@ -630,8 +505,27 @@ def cohomology_Z(c: ChainComplex, k: int) -> CohomologyGroup:
 
 def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], int]]:
     """Generator cochains for the degree-k integral cohomology, as
-    (cochain, order) pairs with order 0 for free generators."""
-    return _IntegralClasses(c, k).generators()
+    (cochain, order) pairs, torsion first and order 0 for free generators.
+
+    The columns of V past the rank of the coboundary's Smith decomposition
+    span the cocycles; the incoming coboundaries, written in that basis, are
+    reduced once more, and the columns of its u_inv with a non-unit diagonal
+    entry, mapped back to cochains, are the generators.
+    """
+    _check_degree(c, k)
+    n_k = c.cell_counts[k]
+    snf_out = smith_normal_form(c.coboundary(k))
+    rank = snf_out.rank
+    incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
+    w = snf_out.v_inv @ incoming
+    if any(map(any, w.data[:rank])):
+        raise RuntimeError("incoming image escapes the kernel; complex is invalid")
+    snf_q = smith_normal_form(IntMatrix._trusted(n_k - rank, incoming.cols, w.data[rank:]))
+    kernel_basis = IntMatrix._trusted(n_k, n_k - rank, [row[rank:] for row in snf_out.V.data])
+    orders = snf_q.diagonal()[: snf_q.rank] + (0,) * (n_k - rank - snf_q.rank)
+    return [
+        (kernel_basis.apply(snf_q.u_inv.column(i)), d) for i, d in enumerate(orders) if d != 1
+    ]
 
 
 def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
@@ -654,10 +548,12 @@ def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
 @dataclass(frozen=True)
 class BocksteinMap:
     """The connecting map from degree-k mod-r cohomology to degree-(k+1)
-    integral cohomology, as an integer matrix on the chosen generators.
+    integral cohomology, as an integer matrix on chosen generators.
 
     Rows are indexed by the target generators (torsion first, order in
-    target_orders, 0 meaning free), columns by the source generators.
+    target_orders, 0 meaning free), columns by the source generators (orders
+    in source_orders).  bockstein fills it in Smith-adapted bases, where it
+    is diagonal up to zero rows and columns; any bases may be used.
     """
 
     degree: int
@@ -687,67 +583,65 @@ class BocksteinMap:
         return all(d == 1 for d in smith_normal_form(spanning).diagonal())
 
 
-def _divide_cochain(vec: list[int], r: int) -> list[int]:
-    if any(x % r for x in vec):
-        raise ValueError("cochain is not a cocycle mod r")
-    return [x // r for x in vec]
-
-
-def bockstein_of_cocycle(c: ChainComplex, k: int, r: int, cochain) -> tuple[int, ...]:
-    """Connecting-map image of one mod-r cocycle (given as an integer lift):
-    apply the coboundary, divide by r, read off coordinates in the degree
-    k+1 integral generators."""
+def _check_bockstein_args(c: ChainComplex, k: int, r: int) -> None:
     if not 0 <= k < c.top_dim:
         raise ValueError(f"degree {k} out of range 0..{c.top_dim - 1}")
     if r < 2:
         raise ValueError(f"modulus must be >= 2, got {r}")
-    lifted = _divide_cochain(c.coboundary(k).apply(cochain), r)
-    return _IntegralClasses(c, k + 1).class_coordinates(lifted)
+
+
+def bockstein_of_cocycle(c: ChainComplex, k: int, r: int, cochain) -> tuple[int, ...]:
+    """Connecting-map image of one mod-r cocycle, given as an integer lift x,
+    in the target generators of bockstein(c, k, r).
+
+    One verified Smith decomposition U delta_k V = D gives y = v_inv x and
+    delta(x) = u_inv D y, so delta(x) is divisible by r exactly when every
+    d_i y_i is, and delta(x) / r has coordinate (d_i y_i / r) mod d_i on the
+    generator u_inv e_i for each d_i > 1.  The free part of the target gets
+    zeros.  Raises ValueError unless delta(x) = 0 mod r.
+    """
+    _check_bockstein_args(c, k, r)
+    snf = smith_normal_form(c.coboundary(k))
+    y = snf.v_inv.apply(cochain)
+    diagonal = snf.diagonal()[: snf.rank]
+    if any(d * a % r for d, a in zip(diagonal, y)):
+        raise ValueError("cochain is not a cocycle mod r")
+    torsion = tuple(d * a // r % d for d, a in zip(diagonal, y) if d > 1)
+    return torsion + (0,) * cohomology_Z(c, k + 1).free_rank
 
 
 def bockstein(c: ChainComplex, k: int, r: int) -> BocksteinMap:
-    """The connecting map on degree-k mod-r cohomology.
+    """The connecting map on degree-k mod-r cohomology, from the memoised
+    invariant factors alone.
 
-    Every generator is lifted to an integer cochain, pushed through the
-    coboundary, divided by r, and located in the integral cohomology one
-    degree up.  The image is confirmed to avoid the free part of the target,
-    and well-definedness is checked once for the whole map: class coordinates
-    are linear, so adding r times any cochain leaves every image unchanged
-    when each delta(e_i) has zero class, and adding an integral coboundary
-    does when delta composed with the incoming coboundary is zero.
+    Let d_1 | ... | d_q be the nonzero invariant factors of the boundary
+    d_(k+1) and g_i = gcd(d_i, r).  In the Smith-adapted bases of
+    U delta_k V = D, beta is the direct sum of Z/g_i -> Z/d_i,
+    x -> (d_i / g_i) x, from the generator (r / g_i) V e_i to the generator
+    u_inv e_i, and of the zero map on H^k(X; Z) (x) Z/r, the reductions of
+    integral classes.  So the columns are the summands Z/g_i with g_i > 1,
+    then Z/gcd(d, r) for each torsion factor d of H^k(X; Z) and Z/r for each
+    free one (trivial summands left out); the rows are the torsion of
+    H^(k+1)(X; Z) in diagonal order, then its free part.  No cochain is
+    formed and no matrix is reduced beyond the boundary diagonals.
     """
-    if not 0 <= k < c.top_dim:
-        raise ValueError(f"degree {k} out of range 0..{c.top_dim - 1}")
-    source = _ModClasses(c, k, r)
-    target = _IntegralClasses(c, k + 1)
-    delta = c.coboundary(k)
-    incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(c.cell_counts[k], 0)
-    if not (delta @ incoming).is_zero() or any(
-        any(target.class_coordinates(delta.column(i))) for i in range(delta.cols)
-    ):
-        raise RuntimeError("connecting map is not well defined on classes")
-
-    generators = source.generators()
-    columns = []
-    for x, _ in generators:
-        coords = target.class_coordinates(_divide_cochain(delta.apply(x), r))
-        if any(coords[len(target.group.torsion) :]):
-            raise RuntimeError("connecting map image must be torsion")
-        columns.append(coords)
-
-    target_orders = tuple(target.group.torsion) + (0,) * target.group.free_rank
-    matrix = IntMatrix(
-        len(target_orders),
-        len(columns),
-        [[col[i] for col in columns] for i in range(len(target_orders))],
-    )
+    _check_bockstein_args(c, k, r)
+    below, target = cohomology_Z(c, k), cohomology_Z(c, k + 1)
+    gcds = [math.gcd(d, r) for d in target.torsion]
+    lifted = [i for i, g in enumerate(gcds) if g > 1]
+    reduced = [math.gcd(d, r) for d in below.torsion] + [r] * below.free_rank
+    source_orders = tuple(gcds[i] for i in lifted) + tuple(g for g in reduced if g > 1)
+    target_orders = target.torsion + (0,) * target.free_rank
+    rows = [[0] * len(source_orders) for _ in target_orders]
+    for j, i in enumerate(lifted):
+        rows[i][j] = target.torsion[i] // gcds[i]
     return BocksteinMap(
         degree=k,
         modulus=r,
-        source=source.group,
-        target=target.group,
-        matrix=matrix,
-        source_orders=tuple(order for _, order in generators),
+        source=cohomology_mod(c, k, r),
+        target=target,
+        matrix=IntMatrix._trusted(len(target_orders), len(source_orders), rows),
+        source_orders=source_orders,
         target_orders=target_orders,
     )
 
@@ -810,8 +704,7 @@ def chain_complex_from_json(obj) -> ChainComplex:
 
 
 def load_chain_complex(path) -> ChainComplex:
-    with open(path, encoding="utf-8") as fh:
-        return chain_complex_from_json(json.load(fh))
+    return chain_complex_from_json(_read_json(path))
 
 
 # --- Fixture complexes ------------------------------------------------------

@@ -1,8 +1,8 @@
 """Exact integer arithmetic underlying every divisibility bound in the package.
 
 Primality and factorization, p-adic valuations, base-p carry counts, and the
-two binomial-coefficient functions everything else consumes: ``m_closed`` /
-``m_oracle`` (the gcd of an initial segment of a Pascal-triangle row) and
+two binomial-coefficient functions everything else consumes: ``m_closed``
+(the gcd of an initial segment of a Pascal-triangle row, in closed form) and
 ``n_func`` (the divisor that gcd forces on any admissible degree).  All
 arithmetic is arbitrary-precision; there is no overflow regime.
 
@@ -29,7 +29,6 @@ __all__ = [
     "integer_log",
     "kummer_carries",
     "m_closed",
-    "m_oracle",
     "n_func",
 ]
 
@@ -262,24 +261,9 @@ def _check_positive_pair(a: int, s: int, first: str) -> None:
         raise ValueError(f"s must be >= 1, got {s} (the gcd over an empty range is undefined)")
 
 
-def m_oracle(a: int, s: int) -> int:
-    """gcd of the binomial coefficients C(a,1), ..., C(a,s), exactly.
-
-    C(a,i) = 0 once i > a; zero terms are skipped rather than folded into the
-    gcd, so the running gcd is always over the nonzero coefficients.
-    """
-    _check_positive_pair(a, s, "a")
-    g = 0
-    for i in range(1, s + 1):
-        c = math.comb(a, i)
-        if c != 0:
-            g = math.gcd(g, c)
-    return g
-
-
 def m_closed(a: int, s: int) -> int:
-    """Closed form for m_oracle: prod p**max(n - [log_p s], 0) over the
-    factorization a = prod p**n."""
+    """gcd of the binomial coefficients C(a,1), ..., C(a,s) in closed form:
+    prod p**max(n - [log_p s], 0) over the factorization a = prod p**n."""
     _check_positive_pair(a, s, "a")
     out = 1
     for p, n in factorize(a).pairs:

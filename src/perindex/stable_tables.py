@@ -183,6 +183,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _read_json(path):
+    """Parse a JSON file.  A document nested too deeply for the parser is a
+    malformed document like any other: ValueError, not RecursionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON document is nested too deeply") from None
+
+
 def exponent_table_from_json(obj) -> ExponentTable:
     """Parse a table-extension document {"table": [{"r", "j", "invariant_factors"}]}.
 
@@ -213,5 +223,4 @@ def exponent_table_from_json(obj) -> ExponentTable:
 
 
 def load_exponent_table(path) -> ExponentTable:
-    with open(path, encoding="utf-8") as fh:
-        return exponent_table_from_json(json.load(fh))
+    return exponent_table_from_json(_read_json(path))

@@ -1,0 +1,30 @@
+"""Brute-force references used only by the tests.
+
+Each restates a quantity by its definition, so that the library's closed
+forms and fast paths have something independent to be checked against.
+"""
+
+import math
+
+
+def m_oracle(a: int, s: int) -> int:
+    """gcd of the binomial coefficients C(a,1), ..., C(a,s), exactly.
+
+    C(a,i) = 0 once i > a; zero terms are skipped rather than folded into the
+    gcd, so the running gcd is always over the nonzero coefficients.
+    """
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s} (the gcd over an empty range is undefined)")
+    g = 0
+    for i in range(1, s + 1):
+        c = math.comb(a, i)
+        if c != 0:
+            g = math.gcd(g, c)
+    return g
+
+
+def euler_characteristic(c) -> int:
+    """Alternating sum of the cell counts of a chain complex."""
+    return sum((-1) ** k * n for k, n in enumerate(c.cell_counts))

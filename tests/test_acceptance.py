@@ -36,11 +36,12 @@ from perindex.homology import (
 from perindex.numtheory import (
     kummer_carries,
     m_closed,
-    m_oracle,
     n_func,
     padic_valuation,
     prime_support,
 )
+
+from brute_force import m_oracle
 
 
 def criterion(number, label):

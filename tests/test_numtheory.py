@@ -15,11 +15,12 @@ from perindex.numtheory import (
     is_prime,
     kummer_carries,
     m_closed,
-    m_oracle,
     n_func,
     padic_valuation,
     prime_support,
 )
+
+from brute_force import m_oracle
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
