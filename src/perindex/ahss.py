@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .bounds import (
     BoundReport,
+    HypothesisViolatedError,
     KIND_UPPER,
     TAG_PRIME_POWER,
     TAG_PRODUCT,
@@ -25,7 +26,6 @@ from .bounds import (
     upper_bound_product,
 )
 from .homology import ChainComplex, CohomologyGroup, cohomology_Z
-from .numtheory import factorize
 from .stable_tables import ExponentEntry, ExponentTable, _is_int, _read_json, r_primary_exponent
 
 __all__ = [
@@ -150,11 +150,10 @@ def best_upper_bound(shape: TwistedShape, table: ExponentTable | None = None) ->
         (TAG_AHSS, ku_ahss_upper_bound(shape)),
         (TAG_PRODUCT, upper_bound_product(d, r, table)),
     ]
-    fact = factorize(r)
-    if len(fact.pairs) == 1:
-        ell, k = fact.pairs[0]
-        if 2 * ell > d + 1:
-            contributors.append((TAG_PRIME_POWER, upper_bound_prime_power(d, ell, k)))
+    try:
+        contributors.append((TAG_PRIME_POWER, upper_bound_prime_power(d, r)))
+    except HypothesisViolatedError:
+        pass
     known = [rep.bound for _, rep in contributors if rep.known]
     bound = math.gcd(*known)
     notes = []

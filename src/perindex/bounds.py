@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numtheory import factorize, is_prime, m_closed, n_func, prime_support
+from .numtheory import factorize, m_closed, n_func, r_primary_part
 from .stable_tables import (
     ExponentEntry,
     ExponentTable,
@@ -58,7 +58,7 @@ COMPOSITE_RULE_NOTE = (
 
 
 class HypothesisViolatedError(ValueError):
-    """The half-dimension prime-power bound was requested outside 2l > d+1."""
+    """The prime-power bound was requested for a composite period or outside 2l > d+1."""
 
 
 @dataclass(frozen=True)
@@ -159,24 +159,21 @@ def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> B
     return BoundReport(bound, KIND_UPPER, TAG_PRODUCT, factors, assumptions)
 
 
-def upper_bound_prime_power(d: int, ell: int, k: int) -> BoundReport:
-    """Upper bound (l**k)**[d/2] for a class of prime-power period l**k,
-    valid only under the hypothesis 2l > d+1.
-
-    Outside the hypothesis this refuses with HypothesisViolatedError rather
-    than silently degrading; callers fall back to upper_bound_product.
-    """
+def upper_bound_prime_power(d: int, r: int) -> BoundReport:
+    """Upper bound r**[d/2] for a class of period r = l**k, valid only under
+    the hypothesis 2l > d+1.  A composite r, or 2l <= d+1, is refused with
+    HypothesisViolatedError rather than silently degraded; callers fall back
+    to upper_bound_product."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    pairs = factorize(r).pairs
+    if len(pairs) != 1:
+        raise HypothesisViolatedError(f"prime-power bound needs a prime-power period, got {r}")
+    ell = pairs[0][0]
     if 2 * ell <= d + 1:
         raise HypothesisViolatedError(
             f"prime-power bound needs 2*{ell} > {d}+1; use the exponent product instead"
         )
-    r = ell**k
     factors = tuple(
         (j, ExponentEntry(r, PROVENANCE_FORMULA)) for j in range(1, d) if j % 2
     )
@@ -232,7 +229,7 @@ def check_per_ind_consistency(per: int, ind: int) -> bool:
     """True iff per divides ind and the two have the same prime divisors."""
     if per < 1 or ind < 1:
         raise ValueError(f"per and ind must be >= 1, got {per}, {ind}")
-    return ind % per == 0 and prime_support(per) == prime_support(ind)
+    return ind % per == 0 and r_primary_part(ind, per) == ind
 
 
 def dimension_forces_period(d: int) -> bool:

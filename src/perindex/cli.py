@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import ahss, bounds, homology
-from .numtheory import factorize, kummer_carries, m_closed, n_func
+from .numtheory import kummer_carries, m_closed, n_func
 from .stable_tables import load_exponent_table
 
 _FIXTURE_HELP = "fixture names: bzr-R-D, sphere-N, rp-N (e.g. bzr-2-9, sphere-4, rp-2)"
@@ -78,11 +78,7 @@ def _cmd_kummer(args):
 def _cmd_upper_bound(args):
     table = _load_table(args)
     if args.prime_power:
-        fact = factorize(args.period)
-        if len(fact.pairs) != 1:
-            raise ValueError(f"--prime-power needs a prime-power period, got {args.period}")
-        ell, k = fact.pairs[0]
-        report = bounds.upper_bound_prime_power(args.dim, ell, k)
+        report = bounds.upper_bound_prime_power(args.dim, args.period)
     else:
         report = bounds.upper_bound_product(args.dim, args.period, table)
     return _report_dict(report), _report_lines(report), [report.theorem]

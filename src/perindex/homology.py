@@ -56,6 +56,27 @@ class ComplexFormatError(ValueError):
     """Raised by chain-complex validation and the JSON loader."""
 
 
+# The most cells, summed over all degrees, that a complex may have.  Boundary
+# rows are allocated per cell even where a boundary has no columns, so this
+# bounds the memory of a document of any length.
+MAX_CELLS = 10**6
+
+
+def _check_cell_counts(counts) -> None:
+    """Refuse, before anything is allocated, counts that are not a nonempty
+    list or tuple of integers >= 0 or whose total exceeds MAX_CELLS."""
+    if (
+        not isinstance(counts, (list, tuple))
+        or not counts
+        or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts)
+    ):
+        raise ComplexFormatError("cell counts must be a nonempty list of integers >= 0")
+    if sum(counts) > MAX_CELLS:
+        raise ComplexFormatError(
+            f"the complex has {sum(counts)} cells, more than the limit of {MAX_CELLS}"
+        )
+
+
 def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
     """The row x + c * y, with c = +-1 as plain addition or subtraction."""
     if c == 1:
@@ -379,12 +400,9 @@ class ChainComplex:
     __slots__ = ("name", "cell_counts", "boundaries", "_factors")
 
     def __init__(self, cell_counts, boundaries, name: str = ""):
-        cell_counts = tuple(int(c) for c in cell_counts)
+        cell_counts = tuple(cell_counts)
         boundaries = tuple(boundaries)
-        if not cell_counts:
-            raise ComplexFormatError("cell_counts must be nonempty")
-        if any(c < 0 for c in cell_counts):
-            raise ComplexFormatError(f"cell counts must be >= 0, got {cell_counts}")
+        _check_cell_counts(cell_counts)
         if len(boundaries) != len(cell_counts) - 1:
             raise ComplexFormatError(
                 f"expected {len(cell_counts) - 1} boundary matrices, got {len(boundaries)}"
@@ -477,7 +495,8 @@ def _check_degree(c: ChainComplex, k: int) -> None:
 
 
 def _invariant_form(orders) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of the cyclic groups Z/o.
+    """Invariant factors of the direct sum of the cyclic groups Z/o, in time
+    quadratic in the number of orders.
 
     Replacing each pair by (gcd, lcm) keeps the group, since Z/a + Z/b is
     Z/gcd(a, b) + Z/lcm(a, b); after the sweep over position i, the entry at
@@ -534,15 +553,17 @@ def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
 
     By the universal coefficient theorem it is (Z/r)^f, f the integral free
     rank, plus Z/gcd(d, r) for every nonzero invariant factor d of the
-    boundaries d_k and d_(k+1).
+    boundaries d_k and d_(k+1).  Every gcd divides r, so the f copies of Z/r
+    are the top f invariant factors, and only the non-unit gcds are put in
+    invariant form.
     """
     _check_degree(c, k)
     if r < 2:
         raise ValueError(f"modulus must be >= 2, got {r}")
     factors = c._nonzero_factors(k) + c._nonzero_factors(k + 1)
     free_rank = c.cell_counts[k] - len(factors)
-    orders = [r] * free_rank + [math.gcd(d, r) for d in factors]
-    return CohomologyGroup(k, 0, _invariant_form(orders))
+    torsion = _invariant_form(g for g in (math.gcd(d, r) for d in factors) if g > 1)
+    return CohomologyGroup(k, 0, torsion + (r,) * free_rank)
 
 
 @dataclass(frozen=True)
@@ -675,12 +696,7 @@ def chain_complex_from_json(obj) -> ChainComplex:
     if not isinstance(name, str):
         raise ComplexFormatError("name must be a string")
     counts = obj["cell_counts"]
-    if (
-        not isinstance(counts, list)
-        or not counts
-        or any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in counts)
-    ):
-        raise ComplexFormatError("cell_counts must be a nonempty list of integers >= 0")
+    _check_cell_counts(counts)
     flats = obj["boundaries"]
     if not isinstance(flats, list) or len(flats) != len(counts) - 1:
         raise ComplexFormatError(
@@ -699,7 +715,7 @@ def chain_complex_from_json(obj) -> ChainComplex:
                 f"boundary {k} has {len(flat)} entries, expected {rows}*{cols}"
             )
         data = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
-        boundaries.append(IntMatrix(rows, cols, data))
+        boundaries.append(IntMatrix._trusted(rows, cols, data))
     return ChainComplex(counts, boundaries, name=name)
 
 

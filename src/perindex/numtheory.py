@@ -1,6 +1,7 @@
 """Exact integer arithmetic underlying every divisibility bound in the package.
 
-Primality and factorization, p-adic valuations, base-p carry counts, and the
+Primality and factorization, p-adic valuations, the r-primary part of an
+integer (a gcd, so support checks never factor), base-p carry counts, and the
 two binomial-coefficient functions everything else consumes: ``m_closed``
 (the gcd of an initial segment of a Pascal-triangle row, in closed form) and
 ``n_func`` (the divisor that gcd forces on any admissible degree).  All
@@ -26,6 +27,7 @@ __all__ = [
     "is_prime",
     "prime_support",
     "padic_valuation",
+    "r_primary_part",
     "integer_log",
     "kummer_carries",
     "m_closed",
@@ -105,6 +107,14 @@ class Factorization:
             if e < 1:
                 raise ValueError(f"exponent of prime {p} must be >= 1, got {e}")
             last = p
+
+    @classmethod
+    def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Wrap pairs whose primes factorize has already certified, without
+        testing them again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "pairs", pairs)
+        return f
 
     def value(self) -> int:
         out = 1
@@ -197,12 +207,21 @@ def factorize(a: int) -> Factorization:
         else:
             d = _rho_factor(m)
             pending += [d, m // d]
-    return Factorization(tuple(sorted(exponents.items())))
+    return Factorization._trusted(tuple(sorted(exponents.items())))
 
 
 def prime_support(a: int) -> frozenset[int]:
     """The set of primes dividing a."""
     return frozenset(factorize(a).primes())
+
+
+def r_primary_part(a: int, r: int) -> int:
+    """The largest divisor of a >= 1 whose primes all divide r >= 1, exact at
+    any size: gcd(a, r**e) for e = a.bit_length(), as a has fewer than e prime
+    factors.  It is a exactly when prime_support(a) <= prime_support(r)."""
+    if a < 1 or r < 1:
+        raise ValueError(f"r_primary_part requires a, r >= 1, got {a}, {r}")
+    return math.gcd(a, pow(r, a.bit_length(), a))
 
 
 def padic_valuation(p: int, x: int) -> int:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .numtheory import factorize, padic_valuation, prime_support
+from .numtheory import factorize, r_primary_part
 
 __all__ = [
     "FinAbGroup",
@@ -101,13 +101,7 @@ def r_primary_exponent(g: FinAbGroup, r: int) -> int:
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if not g.invariant_factors:
-        return 1
-    top = g.invariant_factors[-1]
-    out = 1
-    for p in sorted(prime_support(r)):
-        out *= p ** padic_valuation(p, top)
-    return out
+    return r_primary_part(g.invariant_factors[-1], r) if g.invariant_factors else 1
 
 
 @dataclass(frozen=True)
@@ -145,38 +139,36 @@ ExponentTable = dict[tuple[int, int], int]
 
 
 def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> ExponentEntry:
-    """Exponent of the reduced stable homotopy of B Z/r in degree j.
-
-    Composite r is answered by multiplying the answers for its coprime
-    prime-power components whenever all of them are known.  Unknown is a
-    value, never an error; callers must propagate it explicitly.
+    """Exponent of the reduced stable homotopy of B Z/r in degree j, from the
+    first source that knows it: the shipped values, the product over the
+    coprime prime-power components of a composite r, the caller's table.
+    Unknown is a value, never an error; callers must propagate it explicitly.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    fact = factorize(r)
-    if len(fact.pairs) == 1:
-        ell, n = fact.pairs[0]
+    pairs = factorize(r).pairs
+    if len(pairs) == 1:
+        ell, n = pairs[0]
         if j < 2 * ell - 2:
             return ExponentEntry(ell**n if j % 2 else 1, PROVENANCE_FORMULA)
         if r == 2 and j in _BZ2_EXPONENTS:
             return ExponentEntry(_BZ2_EXPONENTS[j], PROVENANCE_TABLE)
-        if table and (r, j) in table:
-            return ExponentEntry(table[(r, j)], PROVENANCE_TABLE)
-        return UNKNOWN_ENTRY
+    else:
+        value, provenance = 1, PROVENANCE_FORMULA
+        for ell, n in pairs:
+            part = stable_exponent_BZr(ell**n, j, table)
+            if not part.known:
+                break
+            value *= part.value
+            if part.provenance == PROVENANCE_TABLE:
+                provenance = PROVENANCE_TABLE
+        else:
+            return ExponentEntry(value, provenance)
     if table and (r, j) in table:
         return ExponentEntry(table[(r, j)], PROVENANCE_TABLE)
-    value = 1
-    provenance = PROVENANCE_FORMULA
-    for ell, n in fact.pairs:
-        part = stable_exponent_BZr(ell**n, j, table)
-        if not part.known:
-            return UNKNOWN_ENTRY
-        value *= part.value
-        if part.provenance == PROVENANCE_TABLE:
-            provenance = PROVENANCE_TABLE
-    return ExponentEntry(value, provenance)
+    return UNKNOWN_ENTRY
 
 
 def _is_int(x) -> bool:
@@ -214,7 +206,7 @@ def exponent_table_from_json(obj) -> ExponentTable:
             raise ValueError(f"invariant_factors must be a list of integers: {row!r}")
         group = FinAbGroup(0, tuple(factors))
         value = exponent(group)
-        if value > 1 and not prime_support(value) <= prime_support(r):
+        if r_primary_part(value, r) != value:
             raise ValueError(
                 f"table row for (r={r}, j={j}) has prime support outside that of r"
             )

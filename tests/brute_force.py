@@ -28,3 +28,15 @@ def m_oracle(a: int, s: int) -> int:
 def euler_characteristic(c) -> int:
     """Alternating sum of the cell counts of a chain complex."""
     return sum((-1) ** k * n for k, n in enumerate(c.cell_counts))
+
+
+def invariant_form_oracle(orders) -> tuple[int, ...]:
+    """Invariant factors of the direct sum of the cyclic groups Z/o, by the
+    pairwise (gcd, lcm) sweep over every summand: Z/a + Z/b is
+    Z/gcd(a, b) + Z/lcm(a, b), and after the pass over position i the entry
+    at i divides every later one."""
+    out = list(orders)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            out[i], out[j] = math.gcd(out[i], out[j]), math.lcm(out[i], out[j])
+    return tuple(o for o in out if o > 1)

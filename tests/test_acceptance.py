@@ -119,7 +119,7 @@ def test_criterion_5_theorem_agreement():
             d = 1
             while 2 * ell > d + 1:
                 product = upper_bound_product(d, ell**k)
-                half = upper_bound_prime_power(d, ell, k)
+                half = upper_bound_prime_power(d, ell**k)
                 assert product.known
                 assert product.bound == half.bound == (ell**k) ** (d // 2), (ell, k, d)
                 d += 1
@@ -275,7 +275,7 @@ def test_criterion_11_prime_divisor_validator():
     for ell in (2, 3, 5, 7, 11, 13):
         for k in (1, 2, 3):
             for d in range(1, 2 * ell - 1):
-                emitted.append((ell**k, upper_bound_prime_power(d, ell, k).bound))
+                emitted.append((ell**k, upper_bound_prime_power(d, ell**k).bound))
     shape = _shape(6, 2, {3: (2,), 5: (4,)})
     emitted.append((2, ku_ahss_upper_bound(shape).bound))
     emitted.append((2, best_upper_bound(shape).bound))

@@ -70,7 +70,7 @@ def test_upper_bound_product_examples():
     assert report.bound == 25
     assert [e.value for _, e in report.factors] == [5, 1, 5]
     # cross-check against the prime-power route (hypothesis 2*5 > 5 holds)
-    assert report.bound == upper_bound_prime_power(4, 5, 1).bound
+    assert report.bound == upper_bound_prime_power(4, 5).bound
 
 
 def test_upper_bound_product_unknown_propagates():
@@ -90,17 +90,21 @@ def test_upper_bound_product_composite_flag():
 
 
 def test_prime_power_examples():
-    assert upper_bound_prime_power(5, 5, 1).bound == 25
-    assert upper_bound_prime_power(4, 3, 1).bound == 9
+    assert upper_bound_prime_power(5, 5).bound == 25
+    assert upper_bound_prime_power(4, 3).bound == 9
+    assert upper_bound_prime_power(4, 125).bound == 125**2
     with pytest.raises(HypothesisViolatedError):
-        upper_bound_prime_power(6, 3, 2)
+        upper_bound_prime_power(6, 9)
 
 
 def test_prime_power_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        upper_bound_prime_power(4, 6, 1)
-    with pytest.raises(ValueError):
-        upper_bound_prime_power(4, 5, 0)
+    # a composite period and 2l <= d+1 are both outside the hypothesis
+    for d, r in [(4, 6), (3, 10), (2, 2 * (2**61 - 1)), (5, 3), (3, 2), (4, 4)]:
+        with pytest.raises(HypothesisViolatedError):
+            upper_bound_prime_power(d, r)
+    for d, r in [(0, 5), (4, 1), (4, 0)]:
+        with pytest.raises(ValueError):
+            upper_bound_prime_power(d, r)
 
 
 def test_theorem_agreement_in_overlap():
@@ -108,7 +112,7 @@ def test_theorem_agreement_in_overlap():
         for k in (1, 2, 3):
             for d in range(1, 2 * ell - 1):  # 2*ell > d+1
                 product = upper_bound_product(d, ell**k)
-                half = upper_bound_prime_power(d, ell, k)
+                half = upper_bound_prime_power(d, ell**k)
                 assert product.bound == half.bound == (ell**k) ** (d // 2)
 
 
@@ -201,6 +205,10 @@ def test_per_ind_consistency():
     for r in (1, 2, 9, 12):
         assert check_per_ind_consistency(r, r)
     assert not check_per_ind_consistency(4, 2)  # per does not divide ind
+    m, n = 2**2203 - 1, 2**2281 - 1  # Mersenne primes, beyond is_prime's exact bound
+    assert check_per_ind_consistency(m, m**3)
+    assert check_per_ind_consistency(6 * m, 12 * m**2)
+    assert not check_per_ind_consistency(m, m * n)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=9))

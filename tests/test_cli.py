@@ -98,6 +98,24 @@ def test_prime_power_flag_and_hypothesis_failure(capsys):
     code, _, err = run(capsys, "upper-bound", "--dim", "6", "--period", "9", "--prime-power")
     assert code == 1
     assert "HypothesisViolatedError" in err
+    code, out, err = run(capsys, "upper-bound", "--dim", "3", "--period", "6", "--prime-power")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: HypothesisViolatedError: prime-power bound needs a prime-power period, got 6"
+    ]
+
+
+def test_large_support_checks_are_exact(tmp_path, capsys):
+    m, n = 2**2203 - 1, 2**2281 - 1  # Mersenne primes, beyond is_prime's exact bound
+    code, out, err = run(capsys, "per-ind-check", str(m), str(m * n))
+    assert (code, err) == (0, "")
+    assert out.startswith("inconsistent")
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"table": [{"r": 2, "j": 7, "invariant_factors": [m * n]}]}))
+    code, out, err = run(capsys, "upper-bound", "--dim", "8", "--period", "2", "--tables", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert "prime support outside that of r" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -207,6 +225,15 @@ def test_wrongly_typed_documents_are_domain_errors(tmp_path, capsys, argv, docum
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ValueError: ")
+
+
+def test_cohomology_refuses_huge_cell_counts_at_once(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"cell_counts": [10**12, 0], "boundaries": [[]]}))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ComplexFormatError:") and "more than the limit" in err
 
 
 def test_bockstein_command(tmp_path, capsys):

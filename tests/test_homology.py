@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -35,7 +36,7 @@ from perindex.homology import (
 )
 from perindex.numtheory import factorize
 
-from brute_force import euler_characteristic
+from brute_force import euler_characteristic, invariant_form_oracle
 
 
 def random_matrix(rng, max_dim=30, span=9):
@@ -307,6 +308,29 @@ def test_complex_rejects_dimension_mismatch():
         ChainComplex((1, 2), (IntMatrix(1, 1, [[0]]),))
 
 
+@pytest.mark.parametrize("counts", [[2.7, True], [2, True], [1.0], ["1"], [None], [-1], []])
+def test_complex_refuses_non_integer_cell_counts(counts):
+    with pytest.raises(ComplexFormatError, match="cell counts"):
+        ChainComplex(counts, [IntMatrix(2, 1)] * (len(counts) - 1))
+
+
+def test_complex_refuses_more_than_max_cells():
+    assert ChainComplex([homology.MAX_CELLS], []).cell_counts == (homology.MAX_CELLS,)
+    with pytest.raises(ComplexFormatError, match="more than the limit"):
+        ChainComplex([homology.MAX_CELLS, 1], [IntMatrix(0, 0)])
+    # a short document may claim any count: it is refused before any row exists
+    for counts in ([10**12, 0], [homology.MAX_CELLS // 2 + 1] * 2, [2**64]):
+        doc = {"cell_counts": counts, "boundaries": [[]] * (len(counts) - 1)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComplexFormatError, match="more than the limit"):
+                chain_complex_from_json(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
 def test_coboundary_is_transpose():
     c = rp_complex(2)
     assert c.coboundary(0) == c.boundaries[0].transpose()
@@ -413,6 +437,32 @@ def test_mod_cohomology_with_coprime_modulus():
     for k in range(1, 5):
         g = cohomology_mod(c, k, 3)
         assert g.torsion == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.integers(min_value=1, max_value=60), max_size=6),
+)
+def test_mod_cohomology_matches_the_full_sweep(r, free, diagonal):
+    # a diagonal boundary with `free` zero columns: mod r, degree 1 is
+    # (Z/r)^free plus Z/gcd(d, r) per entry d, and degree 0 the gcds alone
+    m, n = len(diagonal), len(diagonal) + free
+    data = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diagonal)]
+    c = ChainComplex((m, n), (IntMatrix(m, n, data),))
+    gcds = [math.gcd(d, r) for d in diagonal]
+    assert cohomology_mod(c, 0, r).torsion == invariant_form_oracle(gcds)
+    assert cohomology_mod(c, 1, r).torsion == invariant_form_oracle([r] * free + gcds)
+
+
+def test_mod_cohomology_is_linear_in_the_free_rank():
+    # a gcd/lcm sweep over every summand is quadratic: about 1.9 s already at 4,000
+    c = ChainComplex([50_000], [])
+    start = time.perf_counter()
+    group = cohomology_mod(c, 0, 6)
+    assert time.perf_counter() - start < 2
+    assert group.torsion == (6,) * 50_000
 
 
 # --- Bockstein ---------------------------------------------------------------

@@ -18,6 +18,7 @@ from perindex.numtheory import (
     n_func,
     padic_valuation,
     prime_support,
+    r_primary_part,
 )
 
 from brute_force import m_oracle
@@ -280,6 +281,54 @@ def test_is_prime_above_the_exact_bound():
         is_prime(m89)
     with pytest.raises(ValueError, match="cannot certify"):
         Factorization(((m89, 1),))
+
+
+def test_factorize_certifies_each_prime_once(monkeypatch):
+    calls = []
+    certify = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda p: calls.append(p) or certify(p))
+    p, q = 1_000_000_007, 2**61 - 1
+    # the uncached function, so that the counts do not depend on earlier tests
+    assert factorize.__wrapped__(p).pairs == ((p, 1),)
+    assert calls == [p]
+    calls.clear()
+    assert factorize.__wrapped__(2**3 * p * q).pairs == ((2, 3), (p, 1), (q, 1))
+    assert sorted(calls) == [p, q, p * q]
+    # a hand-built factorization is still checked in full
+    with pytest.raises(ValueError, match="not prime"):
+        Factorization(((p * q, 1),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**6))
+def test_r_primary_part_matches_valuations(a, r):
+    expected = math.prod(p ** padic_valuation(p, a) for p in prime_support(r))
+    assert r_primary_part(a, r) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6), st.data())
+def test_r_primary_part_decides_prime_support(r, data):
+    # a <= 10**30 as a product of at most five numbers <= 10**6, so that the
+    # oracle can factor it; primes of r are drawn often to make a r-primary
+    primes = sorted(prime_support(r)) or [1]
+    pieces = data.draw(
+        st.lists(st.one_of(st.integers(1, 10**6), st.sampled_from(primes)), max_size=5)
+    )
+    a = math.prod(pieces)
+    part = r_primary_part(a, r)
+    assert part == math.prod(p ** padic_valuation(p, a) for p in prime_support(r))
+    assert (part == a) == (prime_support(a) <= prime_support(r))
+
+
+def test_r_primary_part_needs_no_factorization():
+    m, n = 2**2203 - 1, 2**2281 - 1  # Mersenne primes, beyond is_prime's exact bound
+    assert r_primary_part(m * n, m) == m
+    assert r_primary_part(m**3 * n, m * 6) == m**3
+    assert r_primary_part(m * n, 2) == 1
+    assert r_primary_part(1, 12) == r_primary_part(12, 1) == 1
+    with pytest.raises(ValueError):
+        r_primary_part(0, 12)
 
 
 def test_sympy_oracle():

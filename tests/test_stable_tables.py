@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perindex.bounds import upper_bound_product
 from perindex.numtheory import prime_support
 from perindex.stable_tables import (
     PROVENANCE_FORMULA,
@@ -57,6 +58,9 @@ def test_r_primary_examples():
     assert r_primary_exponent(FinAbGroup(1, (5,)), 2) == 1
     assert r_primary_exponent(FinAbGroup(0, (4,)), 2) == 4
     assert r_primary_exponent(FinAbGroup(2, ()), 6) == 1
+    m = 2**2203 - 1  # a Mersenne prime beyond is_prime's exact bound
+    assert r_primary_exponent(FinAbGroup(0, (m * 2**5,)), 2) == 32
+    assert r_primary_exponent(FinAbGroup(0, (m * 2**5,)), m) == m
 
 
 @given(fin_ab_groups(), st.integers(min_value=1, max_value=60))
@@ -137,6 +141,35 @@ def test_table_extension():
         {"table": [{"r": 6, "j": 4, "invariant_factors": [6]}]}
     )
     assert stable_exponent_BZr(6, 4, table2).value == 6
+
+
+def test_shipped_values_take_precedence_over_the_table():
+    # the period divides the index, so a row claiming e_1 = 2 for r = 6 must
+    # not override the shipped product 2 * 3
+    table = exponent_table_from_json({"table": [
+        {"r": 6, "j": 1, "invariant_factors": [2]},
+        {"r": 6, "j": 4, "invariant_factors": [6]},
+        {"r": 5, "j": 3, "invariant_factors": [25]},
+    ]})
+    entry = stable_exponent_BZr(6, 1, table)
+    assert (entry.value, entry.provenance) == (6, PROVENANCE_FORMULA)
+    assert upper_bound_product(3, 6, table).bound == 12
+    entry = stable_exponent_BZr(5, 3, table)
+    assert (entry.value, entry.provenance) == (5, PROVENANCE_FORMULA)
+    # the table still answers where a component is unknown (3 at j = 4)
+    entry = stable_exponent_BZr(6, 4, table)
+    assert (entry.value, entry.provenance) == (6, PROVENANCE_TABLE)
+
+
+def test_table_support_check_needs_no_factorization():
+    m, n = 2**2203 - 1, 2**2281 - 1  # Mersenne primes, beyond is_prime's exact bound
+    row = {"r": 2, "j": 7, "invariant_factors": [m * n]}
+    with pytest.raises(ValueError, match="prime support outside"):
+        exponent_table_from_json({"table": [row]})
+    row = {"r": m, "j": 7, "invariant_factors": [m, m**2]}
+    assert exponent_table_from_json({"table": [row]}) == {(m, 7): m**2}
+    with pytest.raises(ValueError, match="prime support outside"):
+        exponent_table_from_json({"table": [{"r": 12, "j": 9, "invariant_factors": [10]}]})
 
 
 def test_table_extension_rejects_bad_rows():
