@@ -56,6 +56,22 @@ COMPOSITE_RULE_NOTE = (
     "composite period: stable exponents multiplied over coprime prime-power components"
 )
 
+# The largest dimension the upper bounds accept.  They build one factor per
+# degree and multiply the factors out, so the cost grows quadratically in the
+# dimension for large factors: at 10**4 the worst cases, with period 2**61-1,
+# take about 0.15 s (prime power) and 0.3-0.4 s (product); at 10**5 the
+# prime-power bound takes over 10 s.
+MAX_DIM = 10**4
+
+
+def check_dimension(d: int) -> None:
+    """Refuse with ValueError a dimension the upper bounds do not accept:
+    below 1 or above MAX_DIM."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the limit of {MAX_DIM}")
+
 
 class HypothesisViolatedError(ValueError):
     """The prime-power bound was requested for a composite period or outside 2l > d+1."""
@@ -143,10 +159,9 @@ def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> B
 
     The index of any class of period r on a d-dimensional complex divides the
     bound.  Unknown entries leave the bound Unknown with the partial factors
-    listed.
+    listed.  A dimension above MAX_DIM is refused with ValueError.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    check_dimension(d)
     if r < 2:
         raise ValueError(f"period must be >= 2, got {r}")
     factors = tuple((j, stable_exponent_BZr(r, j, table)) for j in range(1, d))
@@ -163,9 +178,9 @@ def upper_bound_prime_power(d: int, r: int) -> BoundReport:
     """Upper bound r**[d/2] for a class of period r = l**k, valid only under
     the hypothesis 2l > d+1.  A composite r, or 2l <= d+1, is refused with
     HypothesisViolatedError rather than silently degraded; callers fall back
-    to upper_bound_product."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    to upper_bound_product.  A dimension above MAX_DIM is refused with
+    ValueError."""
+    check_dimension(d)
     pairs = factorize(r).pairs
     if len(pairs) != 1:
         raise HypothesisViolatedError(f"prime-power bound needs a prime-power period, got {r}")

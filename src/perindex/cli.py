@@ -185,6 +185,8 @@ def _cmd_ahss_bound(args):
         if args.period is None:
             raise ValueError("--period is required with a chain-complex FILE")
         complex_ = homology.load_chain_complex(args.file)
+        # refused here, before the cohomology of every degree is computed
+        bounds.check_dimension(complex_.top_dim)
         shape = ahss.TwistedShape.from_complex(complex_, args.period)
     else:
         shape = ahss.load_twisted_shape(args.shape)
@@ -231,26 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="emit a JSON envelope")
         return p
 
-    p = add("m", _cmd_m, "gcd of the binomial coefficients C(a,1..s)")
+    p = add("m", "gcd of the binomial coefficients C(a,1..s)")
     p.add_argument("a", type=int)
     p.add_argument("s", type=int)
 
-    p = add("n", _cmd_n, "the divisor forced on any degree whose binomial gcd retains b")
+    p = add("n", "the divisor forced on any degree whose binomial gcd retains b")
     p.add_argument("b", type=int)
     p.add_argument("s", type=int)
 
-    p = add("kummer", _cmd_kummer, "carries when adding a and b in base p")
+    p = add("kummer", "carries when adding a and b in base p")
     p.add_argument("p", type=int)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
 
-    p = add("upper-bound", _cmd_upper_bound, "upper bound on the index from dimension and period")
+    p = add("upper-bound", "upper bound on the index from dimension and period")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument(
@@ -260,47 +261,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tables", help="JSON file extending the stable exponent tables")
 
-    p = add("lower-bound", _cmd_lower_bound, "lower bound from the universal-space skeleton")
+    p = add("lower-bound", "lower bound from the universal-space skeleton")
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--skeleton", type=int, required=True)
 
-    p = add("sandwich", _cmd_sandwich, "both bounds for the skeleton class; asserts lower | upper")
+    p = add("sandwich", "both bounds for the skeleton class; asserts lower | upper")
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--skeleton", type=int, required=True)
 
-    p = add("pu-order", _cmd_pu_order, "order of the s-th cup power of the degree-2 generator")
+    p = add("pu-order", "order of the s-th cup power of the degree-2 generator")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
 
-    p = add("admissible", _cmd_admissible, "can a degree-N algebra carry these cup-power orders")
+    p = add("admissible", "can a degree-N algebra carry these cup-power orders")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--orders", required=True, help="comma-separated cup-power orders o1,o2,...")
 
-    p = add("min-degree", _cmd_min_degree, "smallest admissible degree up to a cap")
+    p = add("min-degree", "smallest admissible degree up to a cap")
     p.add_argument("--orders", required=True, help="comma-separated cup-power orders o1,o2,...")
     p.add_argument("--cap", type=int, required=True)
 
-    p = add("per-ind-check", _cmd_per_ind_check, "per | ind with equal prime support")
+    p = add("per-ind-check", "per | ind with equal prime support")
     p.add_argument("per", type=int)
     p.add_argument("ind", type=int)
 
-    p = add("cohomology", _cmd_cohomology, "exact cohomology of a chain complex JSON file")
+    p = add("cohomology", "exact cohomology of a chain complex JSON file")
     p.add_argument("file")
     p.add_argument("--mod", type=int, help="coefficients Z/R instead of Z")
     p.add_argument("--degree", type=int, help="single degree instead of all")
 
-    p = add("bockstein", _cmd_bockstein, "connecting map of the mod-r coefficient sequence")
+    p = add("bockstein", "connecting map of the mod-r coefficient sequence")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--mod", type=int, required=True)
 
-    p = add("ahss-bound", _cmd_ahss_bound, "combined upper bound from concrete cohomology")
+    p = add("ahss-bound", "combined upper bound from concrete cohomology")
     p.add_argument("file", nargs="?", help="chain complex JSON (requires --period)")
     p.add_argument("--shape", help="twisted shape JSON {d, r, h}")
     p.add_argument("--period", type=int)
     p.add_argument("--tables", help="JSON file extending the stable exponent tables")
 
-    p = add("fixtures", _cmd_fixtures, "emit built-in complexes as JSON")
+    p = add("fixtures", "emit built-in complexes as JSON")
     p.add_argument("action", choices=["emit"])
     p.add_argument("name", help=_FIXTURE_HELP)
     p.add_argument("--out", help="write to a file instead of stdout")
@@ -309,15 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs_dict(args) -> dict:
-    skip = {"command", "handler", "json"}
+    skip = {"command", "json"}
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+# The parser main builds on its first call and reuses: parsing reads it and
+# never changes it, and building it costs ten times more than most queries.
+# It holds no handler; main looks up _cmd_<command> in the module when it
+# dispatches, so a handler replaced after the first call is the one that runs.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        payload, lines, citations = args.handler(args)
+        payload, lines, citations = handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -77,6 +77,16 @@ def _check_cell_counts(counts) -> None:
         )
 
 
+def _check_degree_count(top_dim: int) -> None:
+    """Refuse a built-in complex with more degrees than MAX_CELLS before any
+    per-degree list is built: a sphere has two cells however many degrees it
+    spans, so the cell limit alone would not stop it."""
+    if top_dim + 1 > MAX_CELLS:
+        raise ComplexFormatError(
+            f"the complex has {top_dim + 1} degrees, more than the limit of {MAX_CELLS}"
+        )
+
+
 def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
     """The row x + c * y, with c = +-1 as plain addition or subtraction."""
     if c == 1:
@@ -734,6 +744,7 @@ def bzr_skeleton_complex(r: int, top_dim: int, name: str | None = None) -> Chain
         raise ValueError(f"r must be >= 2, got {r}")
     if top_dim < 1:
         raise ValueError(f"top_dim must be >= 1, got {top_dim}")
+    _check_degree_count(top_dim)
     boundaries = [
         IntMatrix(1, 1, [[r if k % 2 == 0 else 0]]) for k in range(1, top_dim + 1)
     ]
@@ -746,6 +757,7 @@ def sphere_complex(n: int) -> ChainComplex:
     """Minimal CW sphere: one 0-cell, one n-cell, all boundaries zero."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_degree_count(n)
     counts = [1] + [0] * (n - 1) + [1]
     boundaries = [IntMatrix(counts[k - 1], counts[k]) for k in range(1, n + 1)]
     return ChainComplex(counts, boundaries, name=f"sphere-{n}")

@@ -49,6 +49,10 @@ _RHO_BUDGET = 1 << 22
 _RHO_FULL_BITS = 128
 # Products (x - y) mod n accumulated per gcd in Brent's rho.
 _RHO_BATCH = 128
+# Factorizations factorize keeps, least recently used first out.  A caller
+# that meets fresh large periods all day must not grow the cache without
+# bound; 1,024 factorizations of 11-digit integers hold about 0.5 MB.
+_FACTORIZE_CACHE_SIZE = 1024
 
 
 def is_prime(p: int) -> bool:
@@ -180,7 +184,7 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
 def factorize(a: int) -> Factorization:
     """Factor a >= 1 exactly.
 

@@ -25,6 +25,24 @@ def m_oracle(a: int, s: int) -> int:
     return g
 
 
+def trial_division(a: int) -> tuple[tuple[int, int], ...]:
+    """Factorization of a >= 1 by dividing by every candidate up to sqrt(a)."""
+    pairs = []
+    n = a
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
 def euler_characteristic(c) -> int:
     """Alternating sum of the cell counts of a chain complex."""
     return sum((-1) ** k * n for k, n in enumerate(c.cell_counts))

@@ -4,13 +4,18 @@ import json
 
 import pytest
 
-from perindex import cli
+from perindex import ahss, cli
+from perindex.bounds import MAX_DIM
 from perindex.cli import main
-from perindex.homology import bzr_skeleton_complex, chain_complex_to_json
+from perindex.homology import MAX_CELLS, bzr_skeleton_complex, chain_complex_to_json
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -103,6 +108,43 @@ def test_prime_power_flag_and_hypothesis_failure(capsys):
     assert err.splitlines() == [
         "error: HypothesisViolatedError: prime-power bound needs a prime-power period, got 6"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper-bound", "--dim", str(MAX_DIM + 1), "--period", "2"],
+        ["upper-bound", "--dim", str(MAX_DIM + 1), "--period", str(2**61 - 1), "--prime-power"],
+        ["sandwich", "--period", "2", "--skeleton", str(MAX_DIM)],
+        ["ahss-bound", "--shape"],
+        ["ahss-bound", "--period", "2"],
+    ],
+)
+def test_dimension_above_the_cap_is_refused(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "doc.json"
+    if argv[-1] == "--shape":
+        groups = [{"free_rank": 1}] + [{}] * (MAX_DIM + 1)
+        path.write_text(json.dumps({"d": MAX_DIM + 1, "r": 2, "h": groups}))
+        argv = argv + [str(path)]
+    elif argv[0] == "ahss-bound":
+        path.write_text(json.dumps(chain_complex_to_json(bzr_skeleton_complex(2, MAX_DIM + 1))))
+        argv = argv + [str(path)]
+
+        def no_cohomology(*args):  # the refusal must come before any group is computed
+            raise AssertionError("cohomology computed before the dimension check")
+
+        monkeypatch.setattr(ahss, "cohomology_Z", no_cohomology)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: ValueError: dimension {MAX_DIM + 1} exceeds the limit of {MAX_DIM}"
+    ]
+
+
+def test_dimension_at_the_cap_is_accepted(capsys):
+    code, out, err = run(capsys, "upper-bound", "--dim", str(MAX_DIM), "--period", "2")
+    assert code == 0, err
+    assert "upper bound unknown" in out
 
 
 def test_large_support_checks_are_exact(tmp_path, capsys):
@@ -322,3 +364,52 @@ def test_fixtures_emit(tmp_path, capsys):
     code, _, err = run(capsys, "fixtures", "emit", "torus-2")
     assert code == 1
     assert "unknown fixture" in err
+
+
+@pytest.mark.parametrize("name", [f"sphere-{MAX_CELLS}", f"rp-{MAX_CELLS}", f"bzr-3-{MAX_CELLS}"])
+def test_fixtures_with_too_many_degrees_are_refused_at_once(capsys, name):
+    code, out, err = run(capsys, "fixtures", "emit", name)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: ComplexFormatError: the complex has {MAX_CELLS + 1} degrees, "
+        f"more than the limit of {MAX_CELLS}"
+    ]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in (["m", "4", "2"], ["upper-bound", "--dim", "6", "--period", "2", "--json"],
+                 ["m", "0", "1"], ["m", "four", "2"]):
+        for _ in range(3):
+            run(capsys, *argv)
+    assert len(builds) == 1
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(tmp_path, capsys, monkeypatch):
+    complex_path = tmp_path / "c.json"
+    complex_path.write_text(json.dumps(chain_complex_to_json(bzr_skeleton_complex(2, 6))))
+    commands = [
+        ["m", "4", "2"],
+        ["upper-bound", "--dim", "6", "--period", "2"],
+        ["upper-bound", "--dim", "six", "--period", "2"],  # usage error
+        ["sandwich", "--period", "2", "--skeleton", "5"],
+        ["no-such-command"],  # usage error
+        ["--help"],
+        ["sandwich", "--help"],
+        ["m", "0", "1"],  # domain error
+        ["upper-bound", "--dim", "3", "--period", "6", "--prime-power"],  # domain error
+        ["cohomology", str(complex_path), "--mod", "2"],
+        ["fixtures", "emit", "rp-3"],
+    ]
+    argvs = [argv + mode for argv in commands for mode in ([], ["--json"])]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in argvs] == fresh

@@ -21,28 +21,10 @@ from perindex.numtheory import (
     r_primary_part,
 )
 
-from brute_force import m_oracle
+from brute_force import m_oracle, trial_division
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-def trial_division(a: int) -> tuple[tuple[int, int], ...]:
-    """Reference factorization: divide by every candidate up to sqrt(a)."""
-    pairs = []
-    n = a
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return tuple(pairs)
 
 
 def trial_is_prime(p: int) -> bool:
@@ -94,6 +76,22 @@ def test_factorize_large_periods():
     assert factorize(m31 * m61).pairs == ((m31, 1), (m61, 1))
     assert factorize(2**64 + 1).pairs == ((274177, 1), (67280421310721, 1))
     assert factorize(2**5 * 43**2 * 1_000_003**3).pairs == ((2, 5), (43, 2), (1_000_003, 3))
+
+
+def test_factorize_cache_is_bounded():
+    bound = factorize.cache_info().maxsize
+    assert bound is not None
+    factorize.cache_clear()
+    values = range(10**9, 10**9 + bound + 100)
+    for a in values:
+        factorize(a)
+    assert factorize.cache_info().currsize == bound
+    misses = factorize.cache_info().misses
+    # the least recently used values were evicted: they are factored afresh
+    for a in values[:100]:
+        assert factorize(a).pairs == trial_division(a), a
+    assert factorize.cache_info().misses == misses + 100
+    assert factorize.cache_info().currsize == bound
 
 
 def test_factorize_refuses_what_it_cannot_settle(monkeypatch):
