@@ -205,7 +205,7 @@ def _cmd_ahss_bound(args):
 
 def _build_fixture(name: str) -> homology.ChainComplex:
     tokens = name.split("-")
-    if not all(tok.lstrip("-").isdigit() for tok in tokens[1:]):
+    if not all(tok.isdigit() for tok in tokens[1:]):
         raise ValueError(f"unknown fixture name {name!r}; {_FIXTURE_HELP}")
     if tokens[0] == "bzr" and len(tokens) == 3:
         return homology.bzr_skeleton_complex(int(tokens[1]), int(tokens[2]))
@@ -254,12 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("upper-bound", "upper bound on the index from dimension and period")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--period", type=int, required=True)
-    p.add_argument(
+    # the half-dimension bound reads no exponent table
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument(
         "--prime-power",
         action="store_true",
         help="use the half-dimension bound (period must be a prime power, 2l > d+1)",
     )
-    p.add_argument("--tables", help="JSON file extending the stable exponent tables")
+    bound.add_argument("--tables", help="JSON file extending the stable exponent tables")
 
     p = add("lower-bound", "lower bound from the universal-space skeleton")
     p.add_argument("--period", type=int, required=True)

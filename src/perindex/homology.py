@@ -463,12 +463,15 @@ class ChainComplex:
     def _nonzero_factors(self, k: int) -> tuple[int, ...]:
         """Nonzero invariant factors of the degree-k boundary, empty for k
         outside 1..top_dim and for a zero boundary.  Each nonzero boundary is
-        reduced once per complex."""
+        reduced once per complex, transposed and cut to its nonzero rows and
+        columns: moving those to the front gives diag(core, 0)."""
         if not 1 <= k <= self.top_dim:
             return ()
         if k not in self._factors:
-            b = self.boundary(k)
-            diagonal = () if b.is_zero() else smith_normal_form(b).diagonal()
+            rows = [row for row in self.boundary(k).data if any(row)]
+            cols = [list(col) for col in zip(*rows) if any(col)]
+            core = IntMatrix._trusted(len(cols), len(rows), cols)  # the core, transposed
+            diagonal = smith_normal_form(core).diagonal() if cols else ()
             self._factors[k] = tuple(d for d in diagonal if d)
         return self._factors[k]
 

@@ -12,7 +12,6 @@ table.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .numtheory import factorize, r_primary_part
@@ -63,15 +62,6 @@ class FinAbGroup:
                     f"invariant factors must form a divisibility chain, {prev} does not divide {d}"
                 )
             prev = d
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int:
-        if not self.is_finite:
-            raise InfiniteExponentError("group has a free summand; order is infinite")
-        return math.prod(self.invariant_factors)
 
     def __str__(self) -> str:
         parts = []

@@ -110,6 +110,19 @@ def test_prime_power_flag_and_hypothesis_failure(capsys):
     ]
 
 
+def test_prime_power_bound_refuses_a_table(tmp_path, capsys):
+    # the half-dimension bound reads no table, so accepting one would hide that
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"table": [{"r": 3, "j": 2, "invariant_factors": [3]}]}))
+    code, out, _ = run(capsys, "upper-bound", "--dim", "4", "--period", "3", "--tables", str(path))
+    assert code == 0
+    assert "ind divides" in out
+    for flags in (["--prime-power", "--tables", str(path)], ["--tables", str(path), "--prime-power"]):
+        code, out, err = run(capsys, "upper-bound", "--dim", "4", "--period", "3", *flags)
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

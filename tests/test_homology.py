@@ -752,10 +752,10 @@ def test_group_work_reduces_each_boundary_once(monkeypatch):
         bzr_skeleton_complex(6, 4), bzr_skeleton_complex(4, 4), bzr_skeleton_complex(12, 4)
     )
     real = homology.smith_normal_form
-    shapes = []
+    reduced = []
 
     def counting(a):
-        shapes.append(a.shape)
+        reduced.append(a)
         return real(a)
 
     monkeypatch.setattr(homology, "smith_normal_form", counting)
@@ -766,27 +766,67 @@ def test_group_work_reduces_each_boundary_once(monkeypatch):
     assert c.top_dim == 12
     # a zero boundary has no nonzero invariant factor and is not reduced
     assert c.boundaries[0].is_zero()
-    assert shapes == [b.shape for b in c.boundaries if not b.is_zero()]
+    # the rest are reduced on their nonzero rows and columns, transposed
+    cores = [
+        (sum(1 for j in range(b.cols) if any(b.column(j))), sum(1 for row in b.data if any(row)))
+        for b in c.boundaries
+        if not b.is_zero()
+    ]
+    assert [a.shape for a in reduced] == cores
+    assert sum(r * s for r, s in cores) < sum(b.rows * b.cols for b in c.boundaries)
+    for a in reduced:
+        assert all(map(any, a.data)) and all(any(a.column(j)) for j in range(a.cols))
 
 
-@pytest.mark.parametrize("counts", [[1000, 0, 1000], [1000, 1, 1000]])
+@pytest.mark.parametrize("counts", [[1000, 0, 1000], [1000, 1, 1000], [1000, 1]])
 def test_zero_boundaries_cost_linear_memory(counts):
     # The composition check once formed the whole 1000 x 1000 zero product
     # (a peak of about 7.8 MB to load), and the groups ran witness Smith
-    # forms of the 1000 x 0 and 1000 x 1 boundaries (about 39 MB).
-    text = json.dumps({
-        "cell_counts": counts,
-        "boundaries": [[0] * (counts[0] * counts[1]), [0] * (counts[1] * counts[2])],
-    })
+    # forms of the whole 1000 x 0 and 1000 x 1 boundaries (about 39 MB), as
+    # they did for a 1000 x 1 boundary with one nonzero entry, whose core is
+    # 1 x 1.
+    boundaries = [[0] * (m * n) for m, n in zip(counts, counts[1:])]
+    expected = [(n, ()) for n in counts]
+    if counts == [1000, 1]:
+        boundaries[0][500] = 6
+        expected = [(999, ()), (0, (6,))]
+    text = json.dumps({"cell_counts": counts, "boundaries": boundaries})
     tracemalloc.start()
     try:
         c = chain_complex_from_json(json.loads(text))
-        groups = [cohomology_Z(c, k) for k in range(3)]
+        groups = [cohomology_Z(c, k) for k in range(len(counts))]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [(g.free_rank, g.torsion) for g in groups] == [(n, ()) for n in counts]
+    assert [(g.free_rank, g.torsion) for g in groups] == expected
     assert peak < 1_000_000
+
+
+def test_factors_from_the_core_match_the_full_smith_form():
+    """Nonzero invariant factors of a boundary with planted zero rows and
+    columns, against a witness Smith form of the whole matrix."""
+    rng = random.Random(9)
+    for _ in range(300):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        zero_rows = set(rng.sample(range(m), rng.randint(0, m)))
+        zero_cols = set(rng.sample(range(n), rng.randint(0, n)))
+        data = [
+            [
+                0 if i in zero_rows or j in zero_cols or rng.random() > density
+                else rng.choice((-1, 1, rng.randint(-9, 9)))
+                for j in range(n)
+            ]
+            for i in range(m)
+        ]
+        a = IntMatrix(m, n, data)
+        c = ChainComplex([m, n], [a])
+        full = tuple(d for d in smith_normal_form(a).diagonal() if d)
+        assert c._nonzero_factors(1) == full
+        for k in range(2):
+            g = cohomology_Z(c, k)
+            orders = [o for _, o in cohomology_generators_Z(c, k)]
+            assert (g.free_rank, g.torsion) == (orders.count(0), tuple(o for o in orders if o))
 
 
 # --- The Bockstein map against its cochain-level oracle ----------------------
