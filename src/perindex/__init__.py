@@ -14,8 +14,6 @@ from .numtheory import (
     kummer_carries,
     m_closed,
     n_func,
-    padic_valuation,
-    prime_support,
 )
 from .stable_tables import (
     ExponentEntry,

@@ -95,7 +95,7 @@ def _cmd_sandwich(args):
     lines = _report_lines(lower) + _report_lines(upper)
     if upper.known:
         if upper.bound % lower.bound != 0:
-            raise ValueError(
+            raise RuntimeError(
                 f"sandwich violated: lower bound {lower.bound} does not divide "
                 f"upper bound {upper.bound}"
             )

@@ -232,43 +232,46 @@ def _diagonal(entries) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal, nonnegative, zeros
-    trailing, and d_1 | d_2 | ... along the diagonal.
+    """U @ A @ V == D with U, V unimodular and D the m x n matrix with diag
+    on its diagonal: nonnegative, zeros trailing, and d_1 | d_2 | ....
 
-    u_inv and v_inv are maintained alongside U and V during the reduction so
-    consumers can change basis in both directions without re-inverting.
+    Only the diagonal is stored, min(m, n) entries long; the rank is the
+    number of its nonzero entries.  u_inv and v_inv are maintained alongside
+    U and V during the reduction so consumers can change basis in both
+    directions without re-inverting.
     """
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
-    rank: int
+    diag: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diag if d)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols)))
+        return self.diag
 
     def verify(self, a: IntMatrix) -> None:
         """Re-check every invariant against the source matrix; raises
         RuntimeError on failure.
 
-        Shapes, the form of D (diagonal, nonnegative, zeros trailing, the
-        divisibility chain) and the rank are read off directly.  Then
-        V @ v_inv == I, U @ u_inv == I and U @ A == D @ v_inv are checked by
-        exact multiplication, where D @ v_inv is row i of v_inv scaled by
-        d_i.  Together these are equivalent to U @ A @ V == D with both
-        witnesses inverse: V is square, so V @ v_inv == I gives
+        The shapes, including the length of the diagonal, and its form
+        (nonnegative, zeros trailing, the divisibility chain) are read off
+        directly.  Then V @ v_inv == I, U @ u_inv == I and U @ A == D @ v_inv
+        are checked by exact multiplication, where D @ v_inv is row i of
+        v_inv scaled by d_i.  Together these are equivalent to U @ A @ V == D
+        with both witnesses inverse: V is square, so V @ v_inv == I gives
         v_inv @ V == I, and then U @ A @ V == D @ v_inv @ V == D.  No
         product of three matrices is formed.
         """
         m, n = a.shape
-        shapes = (self.U.shape, self.u_inv.shape, self.D.shape, self.V.shape, self.v_inv.shape)
-        if shapes != ((m, m), (m, m), (m, n), (n, n), (n, n)):
+        diag = self.diag
+        shapes = (self.U.shape, self.u_inv.shape, self.V.shape, self.v_inv.shape, len(diag))
+        if shapes != ((m, m), (m, m), (n, n), (n, n), min(m, n)):
             raise RuntimeError("Smith decomposition failed: shapes")
-        diag = self.diagonal()
-        if any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(self.D.data)):
-            raise RuntimeError("Smith decomposition failed: D not diagonal")
         for i, d in enumerate(diag):
             if d < 0:
                 raise RuntimeError("Smith decomposition failed: negative diagonal")
@@ -276,8 +279,6 @@ class SmithDecomposition:
                 raise RuntimeError("Smith decomposition failed: zeros must trail")
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
-        if self.rank != sum(1 for d in diag if d):
-            raise RuntimeError("Smith decomposition failed: rank mismatch")
         if self.V @ self.v_inv != IntMatrix.identity(n):
             raise RuntimeError("Smith decomposition failed: V inverse witness")
         if self.U @ self.u_inv != IntMatrix.identity(m):
@@ -304,8 +305,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     until the end, so an operation updates each witness it changes with one
     whole-row list operation instead of a loop over all rows.  A column
     operation changes only the pivot row of the working matrix, because the
-    pivot column is zero off the pivot by then.  The result is checked
-    exactly by SmithDecomposition.verify (V @ v_inv == I, U @ u_inv == I and
+    pivot column is zero off the pivot by then.  The diagonal is read off the
+    reduced working matrix, and the result is checked exactly by
+    SmithDecomposition.verify (V @ v_inv == I, U @ u_inv == I and
     U @ A == D @ v_inv, with row-sparse products) before it is returned.
     """
     m, n = a.rows, a.cols
@@ -314,28 +316,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     ui_t = IntMatrix.identity(m).data  # u_inv transposed
     v_t = IntMatrix.identity(n).data  # V transposed
     vi = IntMatrix.identity(n).data
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        ui_t[i], ui_t[j] = ui_t[j], ui_t[i]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
-        vi[i], vi[j] = vi[j], vi[i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        ui_t[i] = [-x for x in ui_t[i]]
-
-    def row_addmul(dst, src, c):
-        # row_dst += c * row_src on S and U; the inverse op acts on u_inv columns
-        s[dst] = _axpy(s[dst], s[src], c)
-        u[dst] = _axpy(u[dst], u[src], c)
-        ui_t[src] = _axpy(ui_t[src], ui_t[dst], -c)
 
     t = 0
     while t < m and t < n:
@@ -350,18 +330,28 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             break
         pj = next(j for j in range(t, n) if abs(s[pi][j]) == best)
         if pi != t:
-            row_swap(t, pi)
+            s[t], s[pi] = s[pi], s[t]
+            u[t], u[pi] = u[pi], u[t]
+            ui_t[t], ui_t[pi] = ui_t[pi], ui_t[t]
         if pj != t:
-            col_swap(t, pj)
+            for row in s:
+                row[t], row[pj] = row[pj], row[t]
+            v_t[t], v_t[pj] = v_t[pj], v_t[t]
+            vi[t], vi[pj] = vi[pj], vi[t]
         if s[t][t] < 0:
-            row_negate(t)
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+            ui_t[t] = [-x for x in ui_t[t]]
         pivot = s[t][t]
         dirty = False
         for i in range(t + 1, m):
             if s[i][t]:
                 q = s[i][t] // pivot
                 if q:
-                    row_addmul(i, t, -q)
+                    # row i -= q * row t on S and U; the inverse op acts on u_inv columns
+                    s[i] = _axpy(s[i], s[t], -q)
+                    u[i] = _axpy(u[i], u[t], -q)
+                    ui_t[t] = _axpy(ui_t[t], ui_t[i], q)
                 if s[i][t]:
                     dirty = True
         if dirty:
@@ -384,17 +374,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 (i for i in range(t + 1, m) if any(x % pivot for x in s[i][t + 1 :])), None
             )
             if offender is not None:
-                row_addmul(t, offender, 1)
+                # row t += row offender; the inverse op acts on u_inv columns
+                s[t] = _axpy(s[t], s[offender], 1)
+                u[t] = _axpy(u[t], u[offender], 1)
+                ui_t[offender] = _axpy(ui_t[offender], ui_t[t], -1)
                 continue
         t += 1
 
     decomposition = SmithDecomposition(
         U=IntMatrix._trusted(m, m, u),
-        D=IntMatrix._trusted(m, n, s),
         V=IntMatrix._trusted(n, n, v_t).transpose(),
         u_inv=IntMatrix._trusted(m, m, ui_t).transpose(),
         v_inv=IntMatrix._trusted(n, n, vi),
-        rank=t,
+        diag=tuple(s[i][i] for i in range(min(m, n))),
     )
     decomposition.verify(a)
     return decomposition

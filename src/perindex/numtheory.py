@@ -1,9 +1,9 @@
 """Exact integer arithmetic underlying every divisibility bound in the package.
 
-Primality and factorization, p-adic valuations, the r-primary part of an
-integer (a gcd, so support checks never factor), base-p carry counts, and the
-two binomial-coefficient functions everything else consumes: ``m_closed``
-(the gcd of an initial segment of a Pascal-triangle row, in closed form) and
+Primality and factorization, the r-primary part of an integer (a gcd, so
+support checks never factor), base-p carry counts, and the two
+binomial-coefficient functions everything else consumes: ``m_closed`` (the
+gcd of an initial segment of a Pascal-triangle row, in closed form) and
 ``n_func`` (the divisor that gcd forces on any admissible degree).  All
 arithmetic is arbitrary-precision; there is no overflow regime.
 
@@ -25,8 +25,6 @@ __all__ = [
     "Factorization",
     "factorize",
     "is_prime",
-    "prime_support",
-    "padic_valuation",
     "r_primary_part",
     "integer_log",
     "kummer_carries",
@@ -120,15 +118,6 @@ class Factorization:
         object.__setattr__(f, "pairs", pairs)
         return f
 
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
 
 def _rho_budget(n: int) -> int:
     """Iterations rho may spend on the cofactor n: _RHO_BUDGET up to
@@ -214,31 +203,13 @@ def factorize(a: int) -> Factorization:
     return Factorization._trusted(tuple(sorted(exponents.items())))
 
 
-def prime_support(a: int) -> frozenset[int]:
-    """The set of primes dividing a."""
-    return frozenset(factorize(a).primes())
-
-
 def r_primary_part(a: int, r: int) -> int:
     """The largest divisor of a >= 1 whose primes all divide r >= 1, exact at
     any size: gcd(a, r**e) for e = a.bit_length(), as a has fewer than e prime
-    factors.  It is a exactly when prime_support(a) <= prime_support(r)."""
+    factors.  It is a exactly when every prime dividing a divides r."""
     if a < 1 or r < 1:
         raise ValueError(f"r_primary_part requires a, r >= 1, got {a}, {r}")
     return math.gcd(a, pow(r, a.bit_length(), a))
-
-
-def padic_valuation(p: int, x: int) -> int:
-    """Largest v with p**v dividing x; rejects x = 0, whose valuation is infinite."""
-    if not is_prime(p):
-        raise ValueError(f"padic_valuation requires p prime, got {p}")
-    if x < 1:
-        raise ValueError(f"padic_valuation requires x >= 1, got {x}")
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def integer_log(p: int, s: int) -> int:

@@ -181,7 +181,8 @@ def exponent_table_from_json(obj) -> ExponentTable:
     Each row gives the invariant factors of the degree-j group for B Z/r; the
     stored exponent is the largest factor (1 for an empty list).  Rows whose
     prime support escapes that of r are rejected: no table may break the
-    prime-support invariant of the shipped data.
+    prime-support invariant of the shipped data.  So is a second row for the
+    same (r, j), which would otherwise be resolved by row order.
     """
     if not isinstance(obj, dict) or "table" not in obj or not isinstance(obj["table"], list):
         raise ValueError('table extension must be an object {"table": [...]}')
@@ -192,6 +193,8 @@ def exponent_table_from_json(obj) -> ExponentTable:
         r, j, factors = row["r"], row["j"], row["invariant_factors"]
         if not _is_int(r) or r < 2 or not _is_int(j) or j < 1:
             raise ValueError(f"bad (r, j) in table row: {row!r}")
+        if (r, j) in out:
+            raise ValueError(f"table has more than one row for (r={r}, j={j})")
         if not isinstance(factors, list) or not all(_is_int(x) for x in factors):
             raise ValueError(f"invariant_factors must be a list of integers: {row!r}")
         group = FinAbGroup(0, tuple(factors))

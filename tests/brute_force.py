@@ -6,6 +6,9 @@ forms and fast paths have something independent to be checked against.
 
 import math
 
+from perindex.homology import IntMatrix
+from perindex.numtheory import factorize, is_prime
+
 
 def m_oracle(a: int, s: int) -> int:
     """gcd of the binomial coefficients C(a,1), ..., C(a,s), exactly.
@@ -43,6 +46,24 @@ def trial_division(a: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def prime_support(a: int) -> frozenset[int]:
+    """The set of primes dividing a."""
+    return frozenset(p for p, _ in factorize(a).pairs)
+
+
+def padic_valuation(p: int, x: int) -> int:
+    """Largest v with p**v dividing x; rejects x = 0, whose valuation is infinite."""
+    if not is_prime(p):
+        raise ValueError(f"padic_valuation requires p prime, got {p}")
+    if x < 1:
+        raise ValueError(f"padic_valuation requires x >= 1, got {x}")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def euler_characteristic(c) -> int:
     """Alternating sum of the cell counts of a chain complex."""
     return sum((-1) ** k * n for k, n in enumerate(c.cell_counts))
@@ -58,3 +79,13 @@ def invariant_form_oracle(orders) -> tuple[int, ...]:
         for j in range(i + 1, len(out)):
             out[i], out[j] = math.gcd(out[i], out[j]), math.lcm(out[i], out[j])
     return tuple(o for o in out if o > 1)
+
+
+def diagonal_matrix(rows: int, cols: int, diagonal) -> IntMatrix:
+    """The rows x cols matrix with the min(rows, cols) given entries down its
+    diagonal and zeros elsewhere: the D of a Smith decomposition U A V = D."""
+    assert len(diagonal) == min(rows, cols)
+    data = [[0] * cols for _ in range(rows)]
+    for i, d in enumerate(diagonal):
+        data[i][i] = d
+    return IntMatrix(rows, cols, data)

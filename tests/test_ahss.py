@@ -15,7 +15,8 @@ from perindex.ahss import (
 )
 from perindex.bounds import TAG_PRIME_POWER, TAG_PRODUCT, upper_bound_product
 from perindex.homology import CohomologyGroup, bzr_skeleton_complex
-from perindex.numtheory import prime_support
+
+from brute_force import prime_support
 
 
 def make_shape(d, r, torsion_by_degree=None, free_by_degree=None):

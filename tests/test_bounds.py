@@ -22,10 +22,10 @@ from perindex.bounds import (
     upper_bound_prime_power,
     upper_bound_product,
 )
-from perindex.numtheory import m_closed, n_func, prime_support
+from perindex.numtheory import m_closed, n_func
 from perindex.stable_tables import ExponentEntry
 
-from brute_force import m_oracle
+from brute_force import m_oracle, prime_support
 
 
 def test_report_validation():

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from perindex import ahss, cli
-from perindex.bounds import MAX_DIM
+from perindex import ahss, bounds, cli
+from perindex.bounds import KIND_UPPER, MAX_DIM, TAG_PRODUCT, BoundReport
 from perindex.cli import main
 from perindex.homology import MAX_CELLS, bzr_skeleton_complex, chain_complex_to_json
 
@@ -96,6 +96,20 @@ def test_sandwich(capsys):
     assert "coherent: 4 | 64" in out
 
 
+def test_sandwich_violation_is_an_internal_error(capsys, monkeypatch):
+    # both bounds come from the period and the skeleton alone, so a lower
+    # bound that does not divide the upper one is a defect, not bad input
+    monkeypatch.setattr(
+        bounds, "upper_bound_product", lambda d, r: BoundReport(6, KIND_UPPER, TAG_PRODUCT)
+    )
+    code, out, err = run(capsys, "sandwich", "--period", "2", "--skeleton", "5")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "internal error: RuntimeError: sandwich violated: lower bound 4 does not divide "
+        "upper bound 6"
+    ]
+
+
 def test_prime_power_flag_and_hypothesis_failure(capsys):
     code, out, _ = run(capsys, "upper-bound", "--dim", "4", "--period", "3", "--prime-power")
     assert code == 0
@@ -158,6 +172,18 @@ def test_dimension_at_the_cap_is_accepted(capsys):
     code, out, err = run(capsys, "upper-bound", "--dim", str(MAX_DIM), "--period", "2")
     assert code == 0, err
     assert "upper bound unknown" in out
+
+
+def test_repeated_table_row_is_refused(tmp_path, capsys):
+    # resolved by row order, the two rows would give 243 here and 27 swapped
+    path = tmp_path / "tables.json"
+    rows = [{"r": 3, "j": 5, "invariant_factors": [3]}, {"r": 3, "j": 5, "invariant_factors": [27]}]
+    path.write_text(json.dumps({"table": rows}))
+    code, out, err = run(capsys, "upper-bound", "--dim", "7", "--period", "3", "--tables", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: ValueError: table has more than one row for (r=3, j=5)"
+    ]
 
 
 def test_large_support_checks_are_exact(tmp_path, capsys):

@@ -36,7 +36,7 @@ from perindex.homology import (
 )
 from perindex.numtheory import factorize
 
-from brute_force import euler_characteristic, invariant_form_oracle
+from brute_force import diagonal_matrix, euler_characteristic, invariant_form_oracle
 
 
 def random_matrix(rng, max_dim=30, span=9):
@@ -161,7 +161,7 @@ def test_snf_examples():
 
     zero = IntMatrix(3, 2)
     d = smith_normal_form(zero)
-    assert d.D == zero
+    assert diagonal_matrix(3, 2, d.diagonal()) == zero
     assert d.U == IntMatrix.identity(3)
     assert d.V == IntMatrix.identity(2)
 
@@ -174,7 +174,7 @@ def test_snf_verifies_by_multiplication():
     for _ in range(40):
         a = random_matrix(rng, max_dim=8)
         d = smith_normal_form(a)
-        assert d.U @ a @ d.V == d.D
+        assert d.U @ a @ d.V == diagonal_matrix(*a.shape, d.diagonal())
         assert abs(d.U.det()) == 1
         assert abs(d.V.det()) == 1
         diag = d.diagonal()
@@ -197,7 +197,7 @@ def test_snf_roundtrip_property(rows, cols, data):
     )
     a = IntMatrix(rows, cols, entries)
     d = smith_normal_form(a)
-    assert d.U @ a @ d.V == d.D
+    assert d.U @ a @ d.V == diagonal_matrix(rows, cols, d.diagonal())
     assert d.rank == sum(1 for x in d.diagonal() if x)
 
 
@@ -232,13 +232,14 @@ def _verify_mutants():
         for i, j in ((0, 0), (1, 2), (2, 1)):
             matrix = getattr(good, field)
             out.append((a, replace(good, **{field: _edit(matrix, i, j, 1)}), message))
-    out.append((a, replace(good, D=_edit(good.D, 0, 1, 1)), "D not diagonal"))
-    out.append((a, replace(good, D=_edit(good.D, 2, 3, -5)), "D not diagonal"))
+    # one entry short of min(m, n), and one well-formed but wrong diagonal
+    out.append((a, replace(good, diag=(1, 2)), "shapes"))
+    out.append((a, replace(good, diag=(1, 4, 0)), "U A != D V^-1"))
     # -d_1 with row 1 of U and column 1 of u_inv negated: U A V == D still holds
     flip = IntMatrix(3, 3, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     out.append((
         a,
-        replace(good, U=flip @ good.U, D=flip @ good.D, u_inv=good.u_inv @ flip),
+        replace(good, U=flip @ good.U, diag=(1, -2, 0), u_inv=good.u_inv @ flip),
         "negative diagonal",
     ))
     # d_1 and d_2 = 0 swapped by the same permutation on both sides
@@ -248,7 +249,7 @@ def _verify_mutants():
             good,
             U=_swap_rows(good.U, 1, 2),
             u_inv=T(_swap_rows(T(good.u_inv), 1, 2)),
-            D=T(_swap_rows(T(_swap_rows(good.D, 1, 2)), 1, 2)),
+            diag=(1, 0, 2),
             V=T(_swap_rows(T(good.V), 1, 2)),
             v_inv=_swap_rows(good.v_inv, 1, 2),
         ),
@@ -257,10 +258,8 @@ def _verify_mutants():
     # diag(2, 3) is its own exact decomposition, but 2 does not divide 3
     b = IntMatrix(2, 2, [[2, 0], [0, 3]])
     one = IntMatrix.identity(2)
-    chain_broken = homology.SmithDecomposition(one, b, one, one, one, 2)
+    chain_broken = homology.SmithDecomposition(U=one, V=one, u_inv=one, v_inv=one, diag=(2, 3))
     out.append((b, chain_broken, "divisibility chain"))
-    out.append((a, replace(good, rank=3), "rank mismatch"))
-    out.append((a, replace(good, rank=1), "rank mismatch"))
     # Inverse witnesses correct, U A V != D: change basis by an elementary
     # matrix E on one side, with E^-1 on the witness.
     e = IntMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
@@ -273,7 +272,7 @@ def _verify_mutants():
     c = IntMatrix(1, 1, [[2]])
     one = IntMatrix.identity(1)
     wide = homology.SmithDecomposition(
-        one, c, IntMatrix(1, 2, [[1, 0]]), one, IntMatrix(2, 1, [[1], [0]]), 1
+        U=one, V=IntMatrix(1, 2, [[1, 0]]), u_inv=one, v_inv=IntMatrix(2, 1, [[1], [0]]), diag=(2,)
     )
     out.append((c, wide, "shapes"))
     return out
@@ -290,7 +289,8 @@ def test_verify_catches_every_mutation():
         if message == "U A != D V^-1":
             assert decomposition.U @ decomposition.u_inv == IntMatrix.identity(3)
             assert decomposition.V @ decomposition.v_inv == IntMatrix.identity(4)
-            assert decomposition.U @ a @ decomposition.V != decomposition.D
+            d = diagonal_matrix(*a.shape, decomposition.diagonal())
+            assert decomposition.U @ a @ decomposition.V != d
 
 
 # --- Chain complexes ---------------------------------------------------------

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perindex.bounds import upper_bound_product
-from perindex.numtheory import prime_support
 from perindex.stable_tables import (
     PROVENANCE_FORMULA,
     PROVENANCE_TABLE,
@@ -18,6 +17,8 @@ from perindex.stable_tables import (
     r_primary_exponent,
     stable_exponent_BZr,
 )
+
+from brute_force import prime_support
 
 
 @st.composite
@@ -141,6 +142,14 @@ def test_table_extension():
         {"table": [{"r": 6, "j": 4, "invariant_factors": [6]}]}
     )
     assert stable_exponent_BZr(6, 4, table2).value == 6
+
+
+def test_table_extension_refuses_a_repeated_row():
+    # the stored exponent must not depend on which of two rows comes last
+    rows = [{"r": 3, "j": 5, "invariant_factors": [3]}, {"r": 3, "j": 5, "invariant_factors": [27]}]
+    for table in (rows, rows[::-1]):
+        with pytest.raises(ValueError, match=r"more than one row for \(r=3, j=5\)"):
+            exponent_table_from_json({"table": table})
 
 
 def test_shipped_values_take_precedence_over_the_table():
