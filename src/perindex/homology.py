@@ -1,18 +1,21 @@
 """Exact cellular cohomology over Z and Z/r via Smith normal form.
 
 Everything here is exact arbitrary-precision integer linear algebra:
-matrices are rows of Python ints, and Smith decompositions carry their
-unimodular change of basis matrices together with explicit inverses.
-Products skip zero entries and treat +-1 as addition and subtraction, which
-suits the sparse 0/+-1 boundary matrices of cell complexes.  A decomposition
-U A V = D is verified without a triple product: V v_inv = I, U u_inv = I and
-U A = D v_inv for square U and V, which together imply U A V = D.
-Cohomology groups, and the connecting map of the coefficient sequence
-Z -> Z -> Z/r written in Smith-adapted bases, follow from the invariant
-factors of the boundary maps by the universal coefficient theorem; each
-nonzero boundary is reduced once per complex.  Witnesses (generating
-cochains) are built only where classes must be named: by
-cohomology_generators_Z and bockstein_of_cocycle.
+matrices are rows of Python ints.  A Smith decomposition U A V = D keeps
+its diagonal and the log of the elementary row and column operations that
+reduced A to D, and is certified by replaying that log on a fresh copy of A:
+every logged operation is an elementary integer matrix of determinant +-1,
+so a replay that ends exactly at D proves U A V = D with U and V unimodular.
+The witnesses U, V and their inverses are built from the log only when
+asked for.  Products skip zero entries and treat +-1 as addition and
+subtraction, which suits the sparse 0/+-1 boundary matrices of cell
+complexes.  Cohomology groups, and the connecting map of the coefficient
+sequence Z -> Z -> Z/r written in Smith-adapted bases, follow from the
+invariant factors of the boundary maps by the universal coefficient theorem;
+each nonzero boundary is reduced once per complex, and no witness is built.
+Witnesses (change-of-basis matrices, hence generating cochains) are built
+only where classes must be named: by cohomology_generators_Z and
+bockstein_of_cocycle.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
 degree k+1.  Smith-adapted bases come from a decomposition
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import add, mul, sub
 
@@ -217,6 +221,10 @@ class IntMatrix:
         return f"IntMatrix({self.rows}, {self.cols}, {self.data!r})"
 
 
+# The kinds of elementary operation in the log of a Smith decomposition.
+_ROW_SWAP, _COL_SWAP, _ROW_NEG, _ROW_ADD, _COL_ADD = _KINDS = range(5)
+
+
 def _hconcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise ValueError("row mismatch in horizontal concatenation")
@@ -232,20 +240,24 @@ def _diagonal(entries) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D the m x n matrix with diag
-    on its diagonal: nonnegative, zeros trailing, and d_1 | d_2 | ....
+    """U @ A @ V == D for an m x n matrix A, with U, V unimodular and D the
+    m x n matrix with diag on its diagonal: nonnegative, zeros trailing, and
+    d_1 | d_2 | ....
 
-    Only the diagonal is stored, min(m, n) entries long; the rank is the
-    number of its nonzero entries.  u_inv and v_inv are maintained alongside
-    U and V during the reduction so consumers can change basis in both
-    directions without re-inverting.
+    Stored are the shape (m, n), the diagonal, min(m, n) entries long, and
+    the log of the elementary operations that reduced A to D, flat: four
+    integers (kind, i, t, q) per operation.  The kinds are a swap of rows or
+    of columns i and t, the negation of row i (t = i), and row (or column)
+    i += q * row (or column) t with i != t.  The rank is the number of
+    nonzero diagonal entries.  The witnesses U, V and their inverses u_inv
+    and v_inv are built on first use, by replaying the log on identities,
+    and kept: U and u_inv from the row operations, V and v_inv from the
+    column operations.
     """
 
-    U: IntMatrix
-    V: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    shape: tuple[int, int]
     diag: tuple[int, ...]
+    log: list[int]
 
     @property
     def rank(self) -> int:
@@ -254,23 +266,54 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         return self.diag
 
+    @cached_property
+    def _witnesses(self) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+        return _build_witnesses(self.log, *self.shape)
+
+    @property
+    def U(self) -> IntMatrix:
+        return self._witnesses[0]
+
+    @property
+    def V(self) -> IntMatrix:
+        return self._witnesses[1]
+
+    @property
+    def u_inv(self) -> IntMatrix:
+        return self._witnesses[2]
+
+    @property
+    def v_inv(self) -> IntMatrix:
+        return self._witnesses[3]
+
     def verify(self, a: IntMatrix) -> None:
-        """Re-check every invariant against the source matrix; raises
-        RuntimeError on failure.
+        """Re-check the decomposition against the source matrix by replaying
+        its log; raises RuntimeError on failure.
 
         The shapes, including the length of the diagonal, and its form
         (nonnegative, zeros trailing, the divisibility chain) are read off
-        directly.  Then V @ v_inv == I, U @ u_inv == I and U @ A == D @ v_inv
-        are checked by exact multiplication, where D @ v_inv is row i of
-        v_inv scaled by d_i.  Together these are equivalent to U @ A @ V == D
-        with both witnesses inverse: V is square, so V @ v_inv == I gives
-        v_inv @ V == I, and then U @ A @ V == D @ v_inv @ V == D.  No
-        product of three matrices is formed.
+        directly.  Then the log is replayed on a fresh copy of A.  Every
+        entry must be an integer and every operation one of the five kinds,
+        on rows (or columns) in range, with i != t for an addition; the
+        result must be exactly D.
+
+        This proves U @ A @ V == D with U and V unimodular.  Each operation
+        multiplies by an elementary integer matrix: a swap and a negation
+        have determinant -1, and row (or column) i += q * row (or column) t
+        with i != t and q an integer is unitriangular, of determinant 1.
+        (With i == t it would scale by 1 + q, hence the self-add check.)  U,
+        the product of the row operations in log order, and V, that of the
+        column operations, are therefore integer matrices of determinant
+        +-1, whose inverses are integer matrices too: the same fact that
+        V v_inv == I, U u_inv == I and U A == D v_inv establish for explicit
+        witnesses, here without forming any.  The replay's additions are
+        written apart from the elimination's (_axpy), and a column operation
+        acts on the whole column, so neither the elimination's arithmetic nor
+        its reliance on a pivot column that is zero off the pivot is trusted.
         """
-        m, n = a.shape
+        m, n = self.shape
         diag = self.diag
-        shapes = (self.U.shape, self.u_inv.shape, self.V.shape, self.v_inv.shape, len(diag))
-        if shapes != ((m, m), (m, m), (n, n), (n, n), min(m, n)):
+        if a.shape != self.shape or len(diag) != min(m, n):
             raise RuntimeError("Smith decomposition failed: shapes")
         for i, d in enumerate(diag):
             if d < 0:
@@ -279,14 +322,48 @@ class SmithDecomposition:
                 raise RuntimeError("Smith decomposition failed: zeros must trail")
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
-        if self.V @ self.v_inv != IntMatrix.identity(n):
-            raise RuntimeError("Smith decomposition failed: V inverse witness")
-        if self.U @ self.u_inv != IntMatrix.identity(m):
-            raise RuntimeError("Smith decomposition failed: U inverse witness")
-        d_v_inv = [[d * x for x in row] for d, row in zip(diag, self.v_inv.data)]
-        d_v_inv += [[0] * n for _ in range(m - len(diag))]
-        if (self.U @ a).data != d_v_inv:
-            raise RuntimeError("Smith decomposition failed: U A != D V^-1")
+        log = self.log
+        if len(log) % 4 or any(type(x) is not int for x in log):
+            raise RuntimeError("Smith decomposition failed: log is not integer quadruples")
+        s = [row[:] for row in a.data]
+        ops = iter(log)
+        for k, (kind, i, t, q) in enumerate(zip(ops, ops, ops, ops)):
+            if kind not in _KINDS:
+                raise RuntimeError(f"Smith decomposition failed: operation {k} has no kind {kind}")
+            size = n if kind in (_COL_SWAP, _COL_ADD) else m
+            if not (0 <= i < size and 0 <= t < size):
+                raise RuntimeError(
+                    f"Smith decomposition failed: operation {k} has an index out of range"
+                )
+            if kind == _ROW_SWAP:
+                s[i], s[t] = s[t], s[i]
+            elif kind == _COL_SWAP:
+                for row in s:
+                    row[i], row[t] = row[t], row[i]
+            elif kind == _ROW_NEG:
+                s[i] = [-x for x in s[i]]
+            elif i == t:
+                raise RuntimeError(
+                    f"Smith decomposition failed: operation {k} adds a row or column to itself"
+                )
+            elif kind == _ROW_ADD:
+                s[i] = [x + q * y for x, y in zip(s[i], s[t])]
+            else:
+                for row in s:
+                    if row[t]:
+                        row[i] += q * row[t]
+        for i, row in enumerate(s):
+            if i < n and row[i] != diag[i]:
+                raise RuntimeError(
+                    f"Smith decomposition failed: replay gives {row[i]} at ({i}, {i}), "
+                    f"the diagonal has {diag[i]}"
+                )
+            if any(row[:i]) or any(row[i + 1 :]):
+                j = next(j for j, x in enumerate(row) if x and j != i)
+                raise RuntimeError(
+                    f"Smith decomposition failed: replay leaves {row[j]} at ({i}, {j}), "
+                    "off the diagonal"
+                )
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -301,21 +378,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     so it needs no fold).  Entries are arbitrary-precision, so coefficient
     growth only ever costs time, never correctness.
 
-    u_inv and V, on which the operations act by columns, are held transposed
-    until the end, so an operation updates each witness it changes with one
-    whole-row list operation instead of a loop over all rows.  A column
-    operation changes only the pivot row of the working matrix, because the
-    pivot column is zero off the pivot by then.  The diagonal is read off the
-    reduced working matrix, and the result is checked exactly by
-    SmithDecomposition.verify (V @ v_inv == I, U @ u_inv == I and
-    U @ A == D @ v_inv, with row-sparse products) before it is returned.
+    Only the working matrix is updated; each operation is appended to the
+    log instead of being applied to witnesses.  A column operation changes
+    only the pivot row of the working matrix, because the pivot column is
+    zero off the pivot by then.  The diagonal is read off the reduced working
+    matrix, and the result is checked exactly by SmithDecomposition.verify,
+    which replays the log on A, before it is returned.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
-    u = IntMatrix.identity(m).data
-    ui_t = IntMatrix.identity(m).data  # u_inv transposed
-    v_t = IntMatrix.identity(n).data  # V transposed
-    vi = IntMatrix.identity(n).data
+    log: list[int] = []
 
     t = 0
     while t < m and t < n:
@@ -331,27 +403,22 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         pj = next(j for j in range(t, n) if abs(s[pi][j]) == best)
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-            ui_t[t], ui_t[pi] = ui_t[pi], ui_t[t]
+            log += (_ROW_SWAP, t, pi, 0)
         if pj != t:
             for row in s:
                 row[t], row[pj] = row[pj], row[t]
-            v_t[t], v_t[pj] = v_t[pj], v_t[t]
-            vi[t], vi[pj] = vi[pj], vi[t]
+            log += (_COL_SWAP, t, pj, 0)
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-            ui_t[t] = [-x for x in ui_t[t]]
+            log += (_ROW_NEG, t, t, 0)
         pivot = s[t][t]
         dirty = False
         for i in range(t + 1, m):
             if s[i][t]:
                 q = s[i][t] // pivot
                 if q:
-                    # row i -= q * row t on S and U; the inverse op acts on u_inv columns
                     s[i] = _axpy(s[i], s[t], -q)
-                    u[i] = _axpy(u[i], u[t], -q)
-                    ui_t[t] = _axpy(ui_t[t], ui_t[i], q)
+                    log += (_ROW_ADD, i, t, -q)
                 if s[i][t]:
                     dirty = True
         if dirty:
@@ -363,8 +430,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if q:
                     # column j -= q * column t, which is zero off row t
                     pivot_row[j] -= q * pivot
-                    v_t[j] = _axpy(v_t[j], v_t[t], -q)
-                    vi[t] = _axpy(vi[t], vi[j], q)
+                    log += (_COL_ADD, j, t, -q)
                 if pivot_row[j]:
                     dirty = True
         if dirty:
@@ -374,22 +440,58 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 (i for i in range(t + 1, m) if any(x % pivot for x in s[i][t + 1 :])), None
             )
             if offender is not None:
-                # row t += row offender; the inverse op acts on u_inv columns
                 s[t] = _axpy(s[t], s[offender], 1)
-                u[t] = _axpy(u[t], u[offender], 1)
-                ui_t[offender] = _axpy(ui_t[offender], ui_t[t], -1)
+                log += (_ROW_ADD, t, offender, 1)
                 continue
         t += 1
 
-    decomposition = SmithDecomposition(
-        U=IntMatrix._trusted(m, m, u),
-        V=IntMatrix._trusted(n, n, v_t).transpose(),
-        u_inv=IntMatrix._trusted(m, m, ui_t).transpose(),
-        v_inv=IntMatrix._trusted(n, n, vi),
-        diag=tuple(s[i][i] for i in range(min(m, n))),
-    )
+    decomposition = SmithDecomposition((m, n), tuple(s[i][i] for i in range(min(m, n))), log)
     decomposition.verify(a)
     return decomposition
+
+
+def _build_witnesses(
+    log: list[int], m: int, n: int
+) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """U, V, u_inv and v_inv of a verified decomposition of an m x n matrix,
+    bit for bit the products of its logged elementary matrices.
+
+    U is the row operations applied to I_m in log order, and u_inv the
+    inverse operations applied to the columns of I_m; V is the column
+    operations applied to the columns of I_n, and v_inv their inverses
+    applied to its rows.  u_inv and V, on which the operations act by
+    columns, are held transposed until the end, so each operation updates a
+    witness with one whole-row list operation.
+    """
+    u = IntMatrix.identity(m).data
+    ui_t = IntMatrix.identity(m).data  # u_inv transposed
+    v_t = IntMatrix.identity(n).data  # V transposed
+    vi = IntMatrix.identity(n).data
+    ops = iter(log)
+    for kind, i, t, q in zip(ops, ops, ops, ops):
+        if kind == _ROW_SWAP:
+            u[i], u[t] = u[t], u[i]
+            ui_t[i], ui_t[t] = ui_t[t], ui_t[i]
+        elif kind == _COL_SWAP:
+            v_t[i], v_t[t] = v_t[t], v_t[i]
+            vi[i], vi[t] = vi[t], vi[i]
+        elif kind == _ROW_NEG:
+            u[i] = [-x for x in u[i]]
+            ui_t[i] = [-x for x in ui_t[i]]
+        elif kind == _ROW_ADD:
+            # row i += q * row t; its inverse subtracts q * column i from column t
+            u[i] = _axpy(u[i], u[t], q)
+            ui_t[t] = _axpy(ui_t[t], ui_t[i], -q)
+        else:
+            # column i += q * column t; its inverse subtracts q * row i from row t
+            v_t[i] = _axpy(v_t[i], v_t[t], q)
+            vi[t] = _axpy(vi[t], vi[i], -q)
+    return (
+        IntMatrix._trusted(m, m, u),
+        IntMatrix._trusted(n, n, v_t).transpose(),
+        IntMatrix._trusted(m, m, ui_t).transpose(),
+        IntMatrix._trusted(n, n, vi),
+    )
 
 
 class ChainComplex:

@@ -5,9 +5,8 @@ and the CLI must turn it into exit code 1 with exactly one line on stderr,
 never a traceback or the exit code 3 reserved for internal checks.
 
 Cell counts stay at most 8, so every integer drawn as a replacement value
-does too: the witness Smith normal forms are dense and cost O(n^2) memory
-per matrix by design, so large complexes test the arithmetic, not the input
-handling.
+does too: the Smith normal forms of dense boundaries grow fast in time with
+their size, so large complexes test the arithmetic, not the input handling.
 """
 
 import contextlib

@@ -1,6 +1,7 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perindex import homology
-from perindex.ahss import TwistedShape
+from perindex.ahss import TwistedShape, best_upper_bound
 from perindex.homology import (
     BocksteinMap,
     ChainComplex,
@@ -177,6 +178,8 @@ def test_snf_verifies_by_multiplication():
         assert d.U @ a @ d.V == diagonal_matrix(*a.shape, d.diagonal())
         assert abs(d.U.det()) == 1
         assert abs(d.V.det()) == 1
+        assert d.U @ d.u_inv == IntMatrix.identity(a.rows)
+        assert d.V @ d.v_inv == IntMatrix.identity(a.cols)
         diag = d.diagonal()
         for i in range(1, len(diag)):
             if diag[i - 1]:
@@ -201,96 +204,129 @@ def test_snf_roundtrip_property(rows, cols, data):
     assert d.rank == sum(1 for x in d.diagonal() if x)
 
 
-def _swap_rows(m: IntMatrix, i: int, j: int) -> IntMatrix:
-    data = m.to_lists()
-    data[i], data[j] = data[j], data[i]
-    return IntMatrix(m.rows, m.cols, data)
+ROW_SWAP, COL_SWAP, ROW_NEG, ROW_ADD, COL_ADD = range(5)
 
 
-def _edit(m: IntMatrix, i: int, j: int, delta: int) -> IntMatrix:
-    data = m.to_lists()
-    data[i][j] += delta
-    return IntMatrix(m.rows, m.cols, data)
+def _with_op(log, index, op):
+    """The log with operation ``index`` replaced by ``op``, four integers."""
+    log = list(log)
+    log[4 * index : 4 * index + 4] = op
+    return log
 
 
-def _verify_mutants():
-    """(matrix, decomposition, message) triples: each decomposition breaks
-    SmithDecomposition.verify at the named check, and most keep every other
-    invariant intact, so that check alone must catch it."""
+def _log_mutants():
+    """(matrix, decomposition, message) triples for SmithDecomposition.verify.
+
+    Each of the first six corrupts a valid decomposition once, five in its
+    log and one in its diagonal, and must fail the replay with its own
+    message.  The last four, on the diagonal's form, carry a log whose
+    replay ends at the stored diagonal, so the form check alone must catch
+    them.
+    """
     a = IntMatrix(3, 4, [[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]])
     good = smith_normal_form(a)
     assert good.diagonal() == (1, 2, 0)
+    log = good.log
+    # the ten operations, as (kind, i, t, q)
+    assert [tuple(log[k : k + 4]) for k in range(0, len(log), 4)] == [
+        (ROW_SWAP, 0, 1, 0),
+        (ROW_ADD, 1, 0, -2),
+        (ROW_ADD, 2, 0, -3),
+        (COL_ADD, 1, 0, -3),
+        (COL_ADD, 2, 0, -5),
+        (COL_ADD, 3, 0, -7),
+        (ROW_NEG, 1, 1, 0),
+        (ROW_ADD, 2, 1, 1),
+        (COL_ADD, 2, 1, -2),
+        (COL_ADD, 3, 1, -3),
+    ]
     replace = dataclasses.replace
-    T = IntMatrix.transpose
-    out = []
-    for field, message in (
-        ("U", "U inverse witness"),
-        ("u_inv", "U inverse witness"),
-        ("V", "V inverse witness"),
-        ("v_inv", "V inverse witness"),
-    ):
-        for i, j in ((0, 0), (1, 2), (2, 1)):
-            matrix = getattr(good, field)
-            out.append((a, replace(good, **{field: _edit(matrix, i, j, 1)}), message))
-    # one entry short of min(m, n), and one well-formed but wrong diagonal
-    out.append((a, replace(good, diag=(1, 2)), "shapes"))
-    out.append((a, replace(good, diag=(1, 4, 0)), "U A != D V^-1"))
-    # -d_1 with row 1 of U and column 1 of u_inv negated: U A V == D still holds
-    flip = IntMatrix(3, 3, [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    out.append((
-        a,
-        replace(good, U=flip @ good.U, diag=(1, -2, 0), u_inv=good.u_inv @ flip),
-        "negative diagonal",
-    ))
-    # d_1 and d_2 = 0 swapped by the same permutation on both sides
-    out.append((
-        a,
-        replace(
-            good,
-            U=_swap_rows(good.U, 1, 2),
-            u_inv=T(_swap_rows(T(good.u_inv), 1, 2)),
-            diag=(1, 0, 2),
-            V=T(_swap_rows(T(good.V), 1, 2)),
-            v_inv=_swap_rows(good.v_inv, 1, 2),
+    mutants = [
+        # a dropped operation
+        (a, replace(good, log=log[:4] + log[8:]), "replay leaves -2 at (1, 0), off the diagonal"),
+        # a wrong multiplier
+        (
+            a,
+            replace(good, log=_with_op(log, 2, (ROW_ADD, 2, 0, -2))),
+            "replay leaves 1 at (2, 0), off the diagonal",
         ),
-        "zeros must trail",
-    ))
-    # diag(2, 3) is its own exact decomposition, but 2 does not divide 3
-    b = IntMatrix(2, 2, [[2, 0], [0, 3]])
-    one = IntMatrix.identity(2)
-    chain_broken = homology.SmithDecomposition(U=one, V=one, u_inv=one, v_inv=one, diag=(2, 3))
-    out.append((b, chain_broken, "divisibility chain"))
-    # Inverse witnesses correct, U A V != D: change basis by an elementary
-    # matrix E on one side, with E^-1 on the witness.
-    e = IntMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
-    e_inv = IntMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, -1, 1]])
-    out.append((a, replace(good, U=e @ good.U, u_inv=good.u_inv @ e_inv), "U A != D V^-1"))
-    f = IntMatrix(4, 4, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    f_inv = IntMatrix(4, 4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    out.append((a, replace(good, V=good.V @ f, v_inv=f_inv @ good.v_inv), "U A != D V^-1"))
-    # A wide V with a one-sided inverse: V @ v_inv == I but V is not square.
-    c = IntMatrix(1, 1, [[2]])
-    one = IntMatrix.identity(1)
-    wide = homology.SmithDecomposition(
-        U=one, V=IntMatrix(1, 2, [[1, 0]]), u_inv=one, v_inv=IntMatrix(2, 1, [[1], [0]]), diag=(2,)
-    )
-    out.append((c, wide, "shapes"))
-    return out
+        # a self-add, which would scale row 2 by 2
+        (
+            a,
+            replace(good, log=_with_op(log, 7, (ROW_ADD, 2, 2, 1))),
+            "operation 7 adds a row or column to itself",
+        ),
+        # a row index that would be in range for a column
+        (
+            a,
+            replace(good, log=_with_op(log, 7, (ROW_ADD, 3, 1, 1))),
+            "operation 7 has an index out of range",
+        ),
+        # a wrong diagonal entry
+        (a, replace(good, diag=(1, 4, 0)), "replay gives 2 at (1, 1), the diagonal has 4"),
+        # two operations swapped: row 2 += row 1 before row 1 is negated
+        (
+            a,
+            replace(good, log=log[:24] + log[28:32] + log[24:28] + log[32:]),
+            "replay leaves -4 at (2, 1), off the diagonal",
+        ),
+        # the log's own form: an unknown kind, a cut record, a float multiplier
+        (a, replace(good, log=_with_op(log, 3, (5, 1, 0, -3))), "operation 3 has no kind 5"),
+        (a, replace(good, log=log[:-1]), "log is not integer quadruples"),
+        # a multiplier of 1/2, with which the replay would reach diag(1) from
+        # [[2], [0]], whose Smith form is diag(2)
+        (
+            IntMatrix(2, 1, [[2], [0]]),
+            homology.SmithDecomposition(
+                (2, 1), (1,), [ROW_ADD, 1, 0, 0.5, ROW_ADD, 0, 1, -2, ROW_SWAP, 0, 1, 0]
+            ),
+            "log is not integer quadruples",
+        ),
+        # one diagonal entry short, and a source of another shape
+        (a, replace(good, diag=(1, 2)), "shapes"),
+        (IntMatrix(3, 5), good, "shapes"),
+        # -d_2, with row 1 negated at the end of the log
+        (a, replace(good, diag=(1, -2, 0), log=log + [ROW_NEG, 1, 1, 0]), "negative diagonal"),
+        # d_2 and d_3 = 0 swapped by a row and a column swap at the end of the log
+        (
+            a,
+            replace(good, diag=(1, 0, 2), log=log + [ROW_SWAP, 1, 2, 0, COL_SWAP, 1, 2, 0]),
+            "zeros must trail",
+        ),
+        # diag(2, 3) is its own reduction by the empty log, but 2 does not divide 3
+        (
+            IntMatrix(2, 2, [[2, 0], [0, 3]]),
+            homology.SmithDecomposition((2, 2), (2, 3), []),
+            "divisibility chain",
+        ),
+    ]
+    return [(m, d, "Smith decomposition failed: " + message) for m, d, message in mutants]
 
 
 def test_verify_catches_every_mutation():
-    mutants = _verify_mutants()
+    mutants = _log_mutants()
     for a, decomposition, message in mutants:
-        with pytest.raises(RuntimeError, match=re.escape(message)):
+        with pytest.raises(RuntimeError) as err:
             decomposition.verify(a)
-    # the inverse witnesses hold in the mutants aimed at the final identity,
-    # and the old triple product tells them apart from a valid decomposition
-    for a, decomposition, message in mutants:
-        if message == "U A != D V^-1":
-            assert decomposition.U @ decomposition.u_inv == IntMatrix.identity(3)
-            assert decomposition.V @ decomposition.v_inv == IntMatrix.identity(4)
-            d = diagonal_matrix(*a.shape, decomposition.diagonal())
-            assert decomposition.U @ a @ decomposition.V != d
+        assert str(err.value) == message
+    # the six log mutants are each named by their own message
+    assert len({message for _, _, message in mutants[:6]}) == 6
+    # a row and a column operation commute, so with operations 2 and 3
+    # swapped the log still reduces A to D; a replay that updated only row t
+    # on a column operation would refuse it, since column 0 is not yet zero
+    # off row 0
+    a = mutants[0][0]
+    good = smith_normal_form(a)
+    log = good.log
+    dataclasses.replace(good, log=log[:8] + log[12:16] + log[8:12] + log[16:]).verify(a)
+    # the dropped, wrong and swapped operations are still elementary, so their
+    # witnesses are unimodular, but they do not reduce A to D
+    for a, d, _ in [mutants[i] for i in (0, 1, 5)]:
+        assert abs(d.U.det()) == abs(d.V.det()) == 1
+        assert d.U @ a @ d.V != diagonal_matrix(*a.shape, d.diag)
+    # the diagonal-form mutants replay to their stored diagonals
+    for a, d, _ in mutants[-3:]:
+        assert d.U @ a @ d.V == diagonal_matrix(*a.shape, d.diag)
 
 
 # --- Chain complexes ---------------------------------------------------------
@@ -802,9 +838,27 @@ def test_zero_boundaries_cost_linear_memory(counts):
     assert peak < 1_000_000
 
 
+def test_dense_boundary_costs_linear_memory():
+    # The core of this boundary is the whole 1000 x 1 column.  Its Smith form
+    # once built a dense 1000 x 1000 witness and multiplied it with its
+    # inverse, a peak of about 42 MB; the operation log grows with the
+    # entries instead.
+    boundary = [1 + i % 7 for i in range(1000)]
+    text = json.dumps({"cell_counts": [1000, 1], "boundaries": [boundary]})
+    tracemalloc.start()
+    try:
+        c = chain_complex_from_json(json.loads(text))
+        groups = [cohomology_Z(c, k) for k in range(2)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(g.free_rank, g.torsion) for g in groups] == [(999, ()), (0, ())]
+    assert peak < 1_000_000
+
+
 def test_factors_from_the_core_match_the_full_smith_form():
     """Nonzero invariant factors of a boundary with planted zero rows and
-    columns, against a witness Smith form of the whole matrix."""
+    columns, against the Smith form of the whole matrix."""
     rng = random.Random(9)
     for _ in range(300):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
@@ -1138,6 +1192,42 @@ def test_bockstein_reads_only_the_memoised_diagonals(monkeypatch):
             bockstein_of_cocycle(c, k, r, [0] * c.cell_counts[k])
             assert shapes == [c.coboundary(k).shape]
             shapes.clear()
+
+
+def test_only_named_classes_build_witnesses(monkeypatch):
+    c = tensor_complex(
+        bzr_skeleton_complex(6, 4), bzr_skeleton_complex(4, 4), bzr_skeleton_complex(12, 4)
+    )
+    real = homology._build_witnesses
+    builds = []
+
+    def counting(log, m, n):
+        builds.append((m, n))
+        return real(log, m, n)
+
+    monkeypatch.setattr(homology, "_build_witnesses", counting)
+    for k in range(c.top_dim + 1):
+        cohomology_Z(c, k)
+        cohomology_mod(c, k, 6)
+    for k in range(c.top_dim):
+        for r in UCT_MODULI:
+            bockstein(c, k, r).is_isomorphism()
+    best_upper_bound(TwistedShape.from_complex(c, 6))
+    assert builds == []
+    # generators and the connecting map on cocycles build them, and give the
+    # outputs they gave when every decomposition carried its witnesses (a
+    # SHA-256 taken then)
+    digest = hashlib.sha256()
+    for k in range(c.top_dim + 1):
+        digest.update(repr(cohomology_generators_Z(c, k)).encode())
+    for k in range(c.top_dim):
+        for r in UCT_MODULI:
+            for x in smith_source_generators(c, k, r):
+                digest.update(repr(bockstein_of_cocycle(c, k, r, x)).encode())
+    assert builds
+    assert digest.hexdigest() == (
+        "047e99974b95d2a902ed870993924f96216b601551b6f8d19f48d69e8edafd50"
+    )
 
 
 # --- JSON interchange --------------------------------------------------------
