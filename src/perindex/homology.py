@@ -307,9 +307,11 @@ class SmithDecomposition:
         +-1, whose inverses are integer matrices too: the same fact that
         V v_inv == I, U u_inv == I and U A == D v_inv establish for explicit
         witnesses, here without forming any.  The replay's additions are
-        written apart from the elimination's (_axpy), and a column operation
-        acts on the whole column, so neither the elimination's arithmetic nor
-        its reliance on a pivot column that is zero off the pivot is trusted.
+        written apart from the elimination's (_axpy), a row operation acts on
+        the whole row and a column operation on the whole column, so neither
+        the elimination's arithmetic nor its reliance on rows that are zero
+        left of the pivot column (it adds only their live suffixes) or on a
+        pivot column that is zero off the pivot is trusted.
         """
         m, n = self.shape
         diag = self.diag
@@ -369,21 +371,30 @@ class SmithDecomposition:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Pivoting always selects the first entry of minimal absolute value in
+    Each column t starts from the first entry of minimal absolute value in
     row-major order of the remaining block (the scan stops at the first
-    unit) and reduces its row and column by floor division, so every round
-    either clears the cross or strictly shrinks the pivot; a final fold
-    guarantees the pivot divides the remaining block before advancing, which
-    makes the divisibility chain automatic (a unit pivot divides everything,
-    so it needs no fold).  Entries are arbitrary-precision, so coefficient
-    growth only ever costs time, never correctness.
+    unit), moved to (t, t) by a row and a column swap and made positive by a
+    row negation.  Column t is then cleared below the pivot p by row
+    additions whose quotients are rounded to the nearest integer, so every
+    residue lies in (-p/2, p/2]; while one is nonzero, the row holding the
+    first least of them is swapped up as the next pivot, which at least
+    halves the pivot without rescanning the block.  The pivot row is then
+    reduced by column additions with floor division; a remainder there, rare
+    once the pivot is a unit, sends the step back to the block scan.  A
+    final fold guarantees the pivot divides the remaining block before
+    advancing, which makes the divisibility chain automatic (a unit pivot
+    divides everything, so it needs no fold).  Entries are
+    arbitrary-precision, so coefficient growth only ever costs time, never
+    correctness.
 
     Only the working matrix is updated; each operation is appended to the
-    log instead of being applied to witnesses.  A column operation changes
-    only the pivot row of the working matrix, because the pivot column is
-    zero off the pivot by then.  The diagonal is read off the reduced working
-    matrix, and the result is checked exactly by SmithDecomposition.verify,
-    which replays the log on A, before it is returned.
+    log instead of being applied to witnesses.  Rows t and below are zero
+    left of column t, so a row addition updates only their live suffix from
+    column t on, and a column operation changes only the pivot row, because
+    the pivot column is zero off the pivot by then.  The diagonal is read
+    off the reduced working matrix, and the result is checked exactly by
+    SmithDecomposition.verify, which replays the log on A with whole rows
+    and columns, before it is returned.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
@@ -408,21 +419,28 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             for row in s:
                 row[t], row[pj] = row[pj], row[t]
             log += (_COL_SWAP, t, pj, 0)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            log += (_ROW_NEG, t, t, 0)
-        pivot = s[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t]:
-                q = s[i][t] // pivot
-                if q:
-                    s[i] = _axpy(s[i], s[t], -q)
-                    log += (_ROW_ADD, i, t, -q)
-                if s[i][t]:
-                    dirty = True
-        if dirty:
-            continue
+        while True:
+            # clear column t below the pivot, or find the least residue there
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+                log += (_ROW_NEG, t, t, 0)
+            pivot = s[t][t]
+            live = s[t][t:]
+            best = 0
+            for i in range(t + 1, m):
+                x = s[i][t]
+                if x:
+                    q = (2 * x + pivot) // (2 * pivot)
+                    if q:
+                        s[i][t:] = _axpy(s[i][t:], live, -q)
+                        log += (_ROW_ADD, i, t, -q)
+                        x = s[i][t]
+                    if x and (not best or abs(x) < best):
+                        best, pi = abs(x), i
+            if not best:
+                break
+            s[t], s[pi] = s[pi], s[t]
+            log += (_ROW_SWAP, t, pi, 0)
         pivot_row = s[t]
         for j in range(t + 1, n):
             if pivot_row[j]:
@@ -431,16 +449,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     # column j -= q * column t, which is zero off row t
                     pivot_row[j] -= q * pivot
                     log += (_COL_ADD, j, t, -q)
-                if pivot_row[j]:
-                    dirty = True
-        if dirty:
+        if any(pivot_row[t + 1 :]):
             continue
         if pivot != 1:
             offender = next(
                 (i for i in range(t + 1, m) if any(x % pivot for x in s[i][t + 1 :])), None
             )
             if offender is not None:
-                s[t] = _axpy(s[t], s[offender], 1)
+                s[t][t:] = _axpy(s[t][t:], s[offender][t:], 1)
                 log += (_ROW_ADD, t, offender, 1)
                 continue
         t += 1
@@ -636,7 +652,8 @@ def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], in
     The columns of V past the rank of the coboundary's Smith decomposition
     span the cocycles; the incoming coboundaries, written in that basis, are
     reduced once more, and the columns of its u_inv with a non-unit diagonal
-    entry, mapped back to cochains, are the generators.
+    entry, mapped back to cochains, are the generators: the columns of one
+    product of the kernel basis with those columns.
     """
     _check_degree(c, k)
     n_k = c.cell_counts[k]
@@ -649,9 +666,12 @@ def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], in
     snf_q = smith_normal_form(IntMatrix._trusted(n_k - rank, incoming.cols, w.data[rank:]))
     kernel_basis = IntMatrix._trusted(n_k, n_k - rank, [row[rank:] for row in snf_out.V.data])
     orders = snf_q.diagonal()[: snf_q.rank] + (0,) * (n_k - rank - snf_q.rank)
-    return [
-        (kernel_basis.apply(snf_q.u_inv.column(i)), d) for i, d in enumerate(orders) if d != 1
-    ]
+    kept = [i for i, d in enumerate(orders) if d != 1]
+    chosen = IntMatrix._trusted(
+        n_k - rank, len(kept), [[row[i] for i in kept] for row in snf_q.u_inv.data]
+    )
+    cochains = (kernel_basis @ chosen).transpose().data
+    return [(x, orders[i]) for x, i in zip(cochains, kept)]
 
 
 def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -214,6 +215,12 @@ def _with_op(log, index, op):
     return log
 
 
+def _ops(decomposition):
+    """The log of a decomposition as (kind, i, t, q) tuples."""
+    log = decomposition.log
+    return [tuple(log[k : k + 4]) for k in range(0, len(log), 4)]
+
+
 def _log_mutants():
     """(matrix, decomposition, message) triples for SmithDecomposition.verify.
 
@@ -228,7 +235,7 @@ def _log_mutants():
     assert good.diagonal() == (1, 2, 0)
     log = good.log
     # the ten operations, as (kind, i, t, q)
-    assert [tuple(log[k : k + 4]) for k in range(0, len(log), 4)] == [
+    assert _ops(good) == [
         (ROW_SWAP, 0, 1, 0),
         (ROW_ADD, 1, 0, -2),
         (ROW_ADD, 2, 0, -3),
@@ -327,6 +334,59 @@ def test_verify_catches_every_mutation():
     # the diagonal-form mutants replay to their stored diagonals
     for a, d, _ in mutants[-3:]:
         assert d.U @ a @ d.V == diagonal_matrix(*a.shape, d.diag)
+
+
+def test_snf_pivots_on_negative_rounded_residues():
+    # the nearest quotient leaves a negative residue, which the next round
+    # swaps up as the pivot and negates
+    cases = [
+        ([[5], [3]], (1,), (ROW_ADD, 1, 0, -2), (ROW_ADD, 1, 0, -3)),  # 5 - 2*3 = -1
+        ([[-6], [4]], (2,), (ROW_ADD, 1, 0, 1), (ROW_ADD, 1, 0, -2)),  # -6 + 4 = -2
+    ]
+    for rows, diag, first, last in cases:
+        a = IntMatrix(2, 1, rows)
+        d = smith_normal_form(a)
+        d.verify(a)
+        assert d.diagonal() == diag
+        swap = (ROW_SWAP, 0, 1, 0)
+        assert _ops(d) == [swap, first, swap, (ROW_NEG, 0, 0, 0), last]
+    # rank-deficient: rows 0 and 1 are 2 and 3 times (2, 3, 1)
+    a = IntMatrix(3, 3, [[4, 6, 2], [6, 9, 3], [2, 8, 10]])
+    d = smith_normal_form(a)
+    d.verify(a)
+    assert d.diagonal() == (1, 2, 0)
+    assert d.U @ a @ d.V == diagonal_matrix(3, 3, (1, 2, 0))
+
+
+def test_dense_snf_operation_count():
+    # a deterministic stand-in for a timing test: 11,362 operations when
+    # every pivot rescanned the whole block and quotients were floored
+    rng = random.Random(2026)
+    a = IntMatrix(48, 48, [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)])
+    assert len(smith_normal_form(a).log) // 4 == 9156 < 11362
+
+
+def test_snf_diagonals_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(1997)
+    rectangular = deficient = 0
+    for case in range(20):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        if case % 3:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        else:
+            # a product through fewer than min(m, n) dimensions
+            inner = rng.randint(0, min(m, n) - 1)
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(m)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)]
+            rows = (IntMatrix(m, inner, left) @ IntMatrix(inner, n, right)).to_lists()
+        d = smith_normal_form(IntMatrix(m, n, rows))
+        expected = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert d.diagonal() == tuple(int(x) for x in expected), rows
+        rectangular += m != n
+        deficient += d.rank < min(m, n)
+    assert rectangular >= 10 and deficient >= 7
 
 
 # --- Chain complexes ---------------------------------------------------------
@@ -445,6 +505,50 @@ def test_generators_have_stated_orders():
     cochain, order = gens[0]
     assert order == 4
     assert len(cochain) == 1
+
+
+def _generators_by_column(c, k):
+    """The per-column formula cohomology_generators_Z once used: one dense
+    matrix-vector product per generator, n_k^3 multiplications in all."""
+    n_k = c.cell_counts[k]
+    snf_out = smith_normal_form(c.coboundary(k))
+    rank = snf_out.rank
+    incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
+    w = snf_out.v_inv @ incoming
+    snf_q = smith_normal_form(IntMatrix(n_k - rank, incoming.cols, w.data[rank:]))
+    kernel_basis = IntMatrix(n_k, n_k - rank, [row[rank:] for row in snf_out.V.data])
+    orders = snf_q.diagonal()[: snf_q.rank] + (0,) * (n_k - rank - snf_q.rank)
+    return [
+        (kernel_basis.apply(snf_q.u_inv.column(i)), d) for i, d in enumerate(orders) if d != 1
+    ]
+
+
+def test_generators_match_the_per_column_formula():
+    complexes = [bzr_skeleton_complex(r, 6) for r in (2, 3, 4, 6)]
+    complexes += [sphere_complex(3), rp_complex(2)]
+    complexes.append(tensor_complex(bzr_skeleton_complex(6, 3), bzr_skeleton_complex(4, 3)))
+    column = [1 + i % 7 for i in range(120)]
+    complexes.append(chain_complex_from_json({"cell_counts": [120, 1], "boundaries": [column]}))
+    rng = random.Random(12)
+    for _ in range(20):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        boundary = [rng.randint(-9, 9) for _ in range(m * n)]
+        complexes.append(chain_complex_from_json({"cell_counts": [m, n], "boundaries": [boundary]}))
+    for c in complexes:
+        for k in range(c.top_dim + 1):
+            assert cohomology_generators_Z(c, k) == _generators_by_column(c, k), (c.name, k)
+
+
+def test_generators_of_a_dense_boundary():
+    # 999 free generators from one product; one matrix-vector product each
+    # was cubic in the cells
+    boundary = [1 + i % 7 for i in range(1000)]
+    c = chain_complex_from_json({"cell_counts": [1000, 1], "boundaries": [boundary]})
+    gens = cohomology_generators_Z(c, 0)
+    assert len(gens) == 999
+    for cochain, order in gens:
+        assert order == 0
+        assert sum(map(operator.mul, cochain, boundary)) == 0
 
 
 # --- Mod-r cohomology --------------------------------------------------------
