@@ -100,6 +100,13 @@ def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
     return [p + c * q for p, q in zip(x, y)]
 
 
+def _check_integers(values, what: str) -> None:
+    """Refuse any value that is not an int; bools are refused too."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} entries must be integers, got {x!r}")
+
+
 class IntMatrix:
     """Integer matrix stored as rows of Python ints; either dimension may be
     zero.  Products skip the zero entries of the left factor."""
@@ -116,9 +123,7 @@ class IntMatrix:
             if len(data) != rows or any(len(row) != cols for row in data):
                 raise ValueError(f"data does not have shape {rows} x {cols}")
             for row in data:
-                for x in row:
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise ValueError(f"matrix entries must be integers, got {x!r}")
+                _check_integers(row, "matrix")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -156,32 +161,24 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product is the sum of a * (row j of other) over the
         nonzero entries a = self[i][j], with a = +-1 as plain addition or
-        subtraction.  A row with more nonzero entries than half its length
-        takes dot products with the columns of other instead, which cost less
-        per entry when almost no term is skipped."""
+        subtraction."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         b, width = other.data, other.cols
-        columns = None
         out = []
         for row in self.data:
-            support = list(compress(range(self.cols), row))
-            if 2 * len(support) > self.cols:
-                if columns is None:
-                    columns = list(zip(*b))
-                out.append([sum(map(mul, row, col)) for col in columns])
-                continue
             acc = [0] * width
-            for j in support:
+            for j in compress(range(self.cols), row):
                 acc = _axpy(acc, b[j], row[j])
             out.append(acc)
         return IntMatrix._trusted(self.rows, width, out)
 
     def apply(self, vec) -> list[int]:
-        """Matrix-vector product."""
+        """Matrix-vector product with a vector of integers."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} does not match {self.shape}")
+        _check_integers(vec, "vector")
         return [sum(map(mul, row, vec)) for row in self.data]
 
     def det(self) -> int:
@@ -223,19 +220,6 @@ class IntMatrix:
 
 # The kinds of elementary operation in the log of a Smith decomposition.
 _ROW_SWAP, _COL_SWAP, _ROW_NEG, _ROW_ADD, _COL_ADD = _KINDS = range(5)
-
-
-def _hconcat(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row mismatch in horizontal concatenation")
-    return IntMatrix._trusted(a.rows, a.cols + b.cols, [ra + rb for ra, rb in zip(a.data, b.data)])
-
-
-def _diagonal(entries) -> IntMatrix:
-    m = IntMatrix(len(entries), len(entries))
-    for i, c in enumerate(entries):
-        m.data[i][i] = c
-    return m
 
 
 @dataclass(frozen=True)
@@ -722,12 +706,19 @@ class BocksteinMap:
         it is onto, and it is onto exactly when its columns together with the
         target relations span the target lattice, that is when
         [matrix | diag(target_orders)] has only unit invariant factors.
+        Raises ValueError unless the matrix has one row per target order.
         """
         if self.source.free_rank or self.target.free_rank:
             return False
         if math.prod(self.source_orders) != math.prod(self.target_orders):
             return False
-        spanning = _hconcat(self.matrix, _diagonal(self.target_orders))
+        n, width = len(self.target_orders), self.matrix.cols
+        if self.matrix.rows != n:
+            raise ValueError(f"matrix has {self.matrix.rows} rows for {n} target generators")
+        rows = [row + [0] * n for row in self.matrix.data]
+        for i, d in enumerate(self.target_orders):
+            rows[i][width + i] = d
+        spanning = IntMatrix._trusted(n, width + n, rows)
         return all(d == 1 for d in smith_normal_form(spanning).diagonal())
 
 

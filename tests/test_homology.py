@@ -143,7 +143,7 @@ def test_matmul_edge_shapes(m, k, p):
 
 
 def test_matmul_dense_and_sparse_rows_agree():
-    # rows above and below the half-full threshold, +-1 and general entries
+    # sparse to full rows of +-1, small and 200-bit entries times 300-bit ones
     rng = random.Random(11)
     for density in (0.1, 0.5, 0.6, 1.0):
         a = [
@@ -662,6 +662,14 @@ def test_bockstein_rejects_non_cocycle():
             bockstein_of_cocycle(c, k, r, cochain)
 
 
+def test_bockstein_of_cocycle_refuses_non_integer_entries():
+    c = bzr_skeleton_complex(2, 4)
+    assert bockstein_of_cocycle(c, 1, 2, [1]) == (1,)
+    for cochain in ([1.0], [True], ["1"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            bockstein_of_cocycle(c, 1, 2, cochain)
+
+
 def enumerated_isomorphism(beta):
     """Reference bijectivity check: push every source element through the
     matrix and count the distinct images."""
@@ -732,6 +740,21 @@ def test_is_isomorphism_has_no_size_cap():
     orders = (101, 101)
     assert finite_map(orders, orders, [[1, 0], [0, 1]]).is_isomorphism()
     assert not finite_map(orders, orders, [[1, 0], [1, 0]]).is_isomorphism()
+
+
+def test_is_isomorphism_refuses_a_matrix_of_the_wrong_height():
+    # groups of equal order, so that the check reaches the matrix
+    beta = BocksteinMap(
+        degree=0,
+        modulus=2,
+        source=CohomologyGroup(0, 0, (4,)),
+        target=CohomologyGroup(1, 0, (2, 2)),
+        matrix=IntMatrix(1, 1, [[1]]),
+        source_orders=(4,),
+        target_orders=(2, 2),
+    )
+    with pytest.raises(ValueError):
+        beta.is_isomorphism()
 
 
 # --- Universal coefficient groups against the witness path and Kunneth -------
@@ -1120,8 +1143,10 @@ def image_and_cokernel(beta):
     basis, are rows i < q of U diag(target_orders) divided by d_i, and the
     image is Z^q modulo their span.
     """
-    relations = homology._diagonal(beta.target_orders)
-    snf = smith_normal_form(homology._hconcat(beta.matrix, relations))
+    n = len(beta.target_orders)
+    relations = diagonal_matrix(n, n, beta.target_orders)
+    spanning = [row + rel for row, rel in zip(beta.matrix.data, relations.data)]
+    snf = smith_normal_form(IntMatrix(n, beta.matrix.cols + n, spanning))
     diag = snf.diagonal()[: snf.rank]
     coker = (len(beta.target_orders) - snf.rank, [d for d in diag if d > 1])
     in_span = snf.U @ relations
