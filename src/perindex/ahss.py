@@ -13,7 +13,7 @@ are 2-periodic Z, 0, Z, 0, ... so only odd differentials leave degree zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import (
     BoundReport,
@@ -44,30 +44,26 @@ TAG_COMBINED = "combined-upper"
 _PERIOD_NOTE = "class assumed to live in degree 3 with order exactly the period"
 
 
-@dataclass(frozen=True)
-class TwistedShape:
+class TwistedShape(namedtuple("TwistedShape", "d r h")):
     """Dimension, period, and the integral cohomology of a space in degrees
     0..d; the degree-3 class of order exactly r is the caller's assertion."""
 
-    d: int
-    r: int
-    h: tuple[CohomologyGroup, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", tuple(self.h))
-        if self.d < 0:
-            raise ValueError(f"dimension must be >= 0, got {self.d}")
-        if self.r < 2:
-            raise ValueError(f"period must be >= 2, got {self.r}")
-        if len(self.h) != self.d + 1:
-            raise ValueError(
-                f"need cohomology in degrees 0..{self.d}, got {len(self.h)} groups"
-            )
-        for k, g in enumerate(self.h):
+    def __new__(cls, d: int, r: int, h: tuple[CohomologyGroup, ...]):
+        h = tuple(h)
+        if d < 0:
+            raise ValueError(f"dimension must be >= 0, got {d}")
+        if r < 2:
+            raise ValueError(f"period must be >= 2, got {r}")
+        if len(h) != d + 1:
+            raise ValueError(f"need cohomology in degrees 0..{d}, got {len(h)} groups")
+        for k, g in enumerate(h):
             if g.degree != k:
                 raise ValueError(f"group at position {k} has degree {g.degree}")
-        if self.h[0].free_rank < 1:
+        if h[0].free_rank < 1:
             raise ValueError("degree-0 cohomology must have free rank >= 1 (nonempty space)")
+        return tuple.__new__(cls, (d, r, h))
 
     @classmethod
     def from_complex(cls, c: ChainComplex, r: int) -> "TwistedShape":

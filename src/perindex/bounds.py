@@ -9,7 +9,7 @@ Collapsing either to "<=" would lose the content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numtheory import factorize, m_closed, n_func, r_primary_part
 from .stable_tables import (
@@ -77,8 +77,7 @@ class HypothesisViolatedError(ValueError):
     """The prime-power bound was requested for a composite period or outside 2l > d+1."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "bound kind theorem factors assumptions")):
     """A divisibility statement about the index of a class of period r.
 
     kind="upper" asserts "ind divides bound"; kind="lower" asserts "bound
@@ -87,24 +86,25 @@ class BoundReport:
     rather than silently substituted by 1.
     """
 
-    bound: int | None
-    kind: str
-    theorem: str
-    factors: tuple[tuple[int, ExponentEntry], ...] = ()
-    assumptions: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "assumptions", tuple(self.assumptions))
-        if self.kind not in (KIND_UPPER, KIND_LOWER):
-            raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
-        if self.bound is not None:
-            if self.bound < 1:
-                raise ValueError(f"bound must be >= 1, got {self.bound}")
-            if self.factors and self.partial_product != self.bound:
-                raise ValueError(
-                    f"bound {self.bound} does not equal the product of its known factors"
-                )
+    def __new__(
+        cls,
+        bound: int | None,
+        kind: str,
+        theorem: str,
+        factors: tuple[tuple[int, ExponentEntry], ...] = (),
+        assumptions: tuple[str, ...] = (),
+    ):
+        self = tuple.__new__(cls, (bound, kind, theorem, tuple(factors), tuple(assumptions)))
+        if kind not in (KIND_UPPER, KIND_LOWER):
+            raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
+        if bound is not None:
+            if bound < 1:
+                raise ValueError(f"bound must be >= 1, got {bound}")
+            if self.factors and self.partial_product != bound:
+                raise ValueError(f"bound {bound} does not equal the product of its known factors")
+        return self
 
     @property
     def known(self) -> bool:
@@ -129,28 +129,27 @@ class BoundReport:
         )
 
 
-@dataclass(frozen=True)
-class OrdersProfile:
+class OrdersProfile(namedtuple("OrdersProfile", "r orders")):
     """The orders o_s of the cup powers of a degree-2 class of order r.
 
     o_1 equals r and every o_s divides r: cup powers of an r-torsion class
     stay r-torsion.  An o_s of 1 records a vanishing power.
     """
 
-    r: int
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(self.orders))
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not self.orders:
+    def __new__(cls, r: int, orders: tuple[int, ...]):
+        orders = tuple(orders)
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        if not orders:
             raise ValueError("orders must be nonempty")
-        if self.orders[0] != self.r:
-            raise ValueError(f"o_1 must equal r, got {self.orders[0]} != {self.r}")
-        for s, o in enumerate(self.orders, start=1):
-            if o < 1 or self.r % o != 0:
-                raise ValueError(f"o_{s} = {o} does not divide r = {self.r}")
+        if orders[0] != r:
+            raise ValueError(f"o_1 must equal r, got {orders[0]} != {r}")
+        for s, o in enumerate(orders, start=1):
+            if o < 1 or r % o != 0:
+                raise ValueError(f"o_{s} = {o} does not divide r = {r}")
+        return tuple.__new__(cls, (r, orders))
 
 
 def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> BoundReport:

@@ -17,7 +17,9 @@ import argparse
 import json
 import sys
 
-from . import ahss, bounds, homology
+# homology and ahss, the Smith-normal-form engine, are imported by the file
+# commands that use them: a bounds query never loads them.
+from . import bounds
 from .numtheory import kummer_carries, m_closed, n_func
 from .stable_tables import load_exponent_table
 
@@ -141,6 +143,7 @@ def _cmd_per_ind_check(args):
 
 
 def _cmd_cohomology(args):
+    from . import homology
     complex_ = homology.load_chain_complex(args.file)
     degrees = [args.degree] if args.degree is not None else list(range(complex_.top_dim + 1))
     groups = []
@@ -158,6 +161,7 @@ def _cmd_cohomology(args):
 
 
 def _cmd_bockstein(args):
+    from . import homology
     complex_ = homology.load_chain_complex(args.file)
     beta = homology.bockstein(complex_, args.degree, args.mod)
     lines = [
@@ -179,6 +183,7 @@ def _cmd_bockstein(args):
 
 
 def _cmd_ahss_bound(args):
+    from . import ahss, homology
     if (args.file is None) == (args.shape is None):
         raise ValueError("provide exactly one of FILE (a chain complex) or --shape FILE")
     if args.file is not None:
@@ -204,6 +209,7 @@ def _cmd_ahss_bound(args):
 
 
 def _build_fixture(name: str) -> homology.ChainComplex:
+    from . import homology
     tokens = name.split("-")
     if not all(tok.isdigit() for tok in tokens[1:]):
         raise ValueError(f"unknown fixture name {name!r}; {_FIXTURE_HELP}")
@@ -217,6 +223,7 @@ def _build_fixture(name: str) -> homology.ChainComplex:
 
 
 def _cmd_fixtures(args):
+    from . import homology
     payload = homology.chain_complex_to_json(_build_fixture(args.name))
     text = json.dumps(payload, indent=2)
     if args.out:

@@ -27,7 +27,7 @@ past q span the degree-k cocycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from operator import add, mul, sub
@@ -222,8 +222,7 @@ class IntMatrix:
 _ROW_SWAP, _COL_SWAP, _ROW_NEG, _ROW_ADD, _COL_ADD = _KINDS = range(5)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
     """U @ A @ V == D for an m x n matrix A, with U, V unimodular and D the
     m x n matrix with diag on its diagonal: nonnegative, zeros trailing, and
     d_1 | d_2 | ....
@@ -236,12 +235,9 @@ class SmithDecomposition:
     nonzero diagonal entries.  The witnesses U, V and their inverses u_inv
     and v_inv are built on first use, by replaying the log on identities,
     and kept: U and u_inv from the row operations, V and v_inv from the
-    column operations.
+    column operations.  The class keeps an instance dict, unlike the other
+    records, so that the witnesses are memoised.
     """
-
-    shape: tuple[int, int]
-    diag: tuple[int, ...]
-    log: list[int]
 
     @property
     def rank(self) -> int:
@@ -573,21 +569,18 @@ class ChainComplex:
         return f"ChainComplex(name={self.name!r}, cell_counts={self.cell_counts})"
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
+class CohomologyGroup(namedtuple("CohomologyGroup", "degree free_rank torsion")):
     """A cohomology group in one degree: free rank plus torsion invariant
     factors forming a divisibility chain."""
 
-    degree: int
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+    def __new__(cls, degree: int, free_rank: int, torsion: tuple[int, ...]):
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         # reuse the chain/positivity validation
-        FinAbGroup(self.free_rank, self.torsion)
+        group = FinAbGroup(free_rank, torsion)
+        return tuple.__new__(cls, (degree, free_rank, group.invariant_factors))
 
     def group(self) -> FinAbGroup:
         return FinAbGroup(self.free_rank, self.torsion)
@@ -677,8 +670,11 @@ def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
     return CohomologyGroup(k, 0, torsion + (r,) * free_rank)
 
 
-@dataclass(frozen=True)
-class BocksteinMap:
+class BocksteinMap(
+    namedtuple(
+        "BocksteinMap", "degree modulus source target matrix source_orders target_orders"
+    )
+):
     """The connecting map from degree-k mod-r cohomology to degree-(k+1)
     integral cohomology, as an integer matrix on chosen generators.
 
@@ -688,13 +684,7 @@ class BocksteinMap:
     is diagonal up to zero rows and columns; any bases may be used.
     """
 
-    degree: int
-    modulus: int
-    source: CohomologyGroup
-    target: CohomologyGroup
-    matrix: IntMatrix
-    source_orders: tuple[int, ...]
-    target_orders: tuple[int, ...]
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

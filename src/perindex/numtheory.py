@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -92,16 +92,15 @@ def is_prime(p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "pairs")):
     """A positive integer as (prime, exponent) pairs with strictly increasing
     primes; the empty tuple represents 1."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
             if not is_prime(p):
@@ -109,14 +108,13 @@ class Factorization:
             if e < 1:
                 raise ValueError(f"exponent of prime {p} must be >= 1, got {e}")
             last = p
+        return tuple.__new__(cls, (pairs,))
 
     @classmethod
     def _trusted(cls, pairs: tuple[tuple[int, int], ...]) -> "Factorization":
         """Wrap pairs whose primes factorize has already certified, without
         testing them again."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "pairs", pairs)
-        return f
+        return tuple.__new__(cls, (pairs,))
 
 
 def _rho_budget(n: int) -> int:

@@ -12,7 +12,7 @@ table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numtheory import factorize, r_primary_part
 
@@ -41,20 +41,18 @@ class InfiniteExponentError(ValueError):
     """Requested the exponent of a group with a free summand."""
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(namedtuple("FinAbGroup", "free_rank invariant_factors")):
     """Finitely generated abelian group: a free rank plus invariant factors
     d_1 | d_2 | ... with every d_i >= 2."""
 
-    free_rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
-        if self.free_rank < 0:
-            raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
+    def __new__(cls, free_rank: int = 0, invariant_factors: tuple[int, ...] = ()):
+        invariant_factors = tuple(invariant_factors)
+        if free_rank < 0:
+            raise ValueError(f"free_rank must be >= 0, got {free_rank}")
         prev = 1
-        for d in self.invariant_factors:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError(f"invariant factors must be >= 2, got {d}")
             if d % prev != 0:
@@ -62,6 +60,7 @@ class FinAbGroup:
                     f"invariant factors must form a divisibility chain, {prev} does not divide {d}"
                 )
             prev = d
+        return tuple.__new__(cls, (free_rank, invariant_factors))
 
     def __str__(self) -> str:
         parts = []
@@ -94,23 +93,22 @@ def r_primary_exponent(g: FinAbGroup, r: int) -> int:
     return r_primary_part(g.invariant_factors[-1], r) if g.invariant_factors else 1
 
 
-@dataclass(frozen=True)
-class ExponentEntry:
+class ExponentEntry(namedtuple("ExponentEntry", "value provenance")):
     """A known positive exponent tagged with its justification, or an
     explicitly unknown entry (value None, provenance "unknown")."""
 
-    value: int | None
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value is None:
-            if self.provenance != PROVENANCE_UNKNOWN:
+    def __new__(cls, value: int | None, provenance: str):
+        if value is None:
+            if provenance != PROVENANCE_UNKNOWN:
                 raise ValueError("unknown entries must carry the 'unknown' provenance")
         else:
-            if self.value < 1:
-                raise ValueError(f"exponent value must be >= 1, got {self.value}")
-            if not self.provenance or self.provenance == PROVENANCE_UNKNOWN:
+            if value < 1:
+                raise ValueError(f"exponent value must be >= 1, got {value}")
+            if not provenance or provenance == PROVENANCE_UNKNOWN:
                 raise ValueError("known entries need a justifying provenance tag")
+        return tuple.__new__(cls, (value, provenance))
 
     @property
     def known(self) -> bool:

@@ -1,6 +1,5 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,6 +22,7 @@ from perindex.homology import (
     CohomologyGroup,
     ComplexFormatError,
     IntMatrix,
+    SmithDecomposition,
     bockstein,
     bockstein_of_cocycle,
     bzr_skeleton_complex,
@@ -247,39 +247,52 @@ def _log_mutants():
         (COL_ADD, 2, 1, -2),
         (COL_ADD, 3, 1, -3),
     ]
-    replace = dataclasses.replace
     mutants = [
         # a dropped operation
-        (a, replace(good, log=log[:4] + log[8:]), "replay leaves -2 at (1, 0), off the diagonal"),
+        (
+            a,
+            SmithDecomposition(good.shape, good.diag, log[:4] + log[8:]),
+            "replay leaves -2 at (1, 0), off the diagonal",
+        ),
         # a wrong multiplier
         (
             a,
-            replace(good, log=_with_op(log, 2, (ROW_ADD, 2, 0, -2))),
+            SmithDecomposition(good.shape, good.diag, _with_op(log, 2, (ROW_ADD, 2, 0, -2))),
             "replay leaves 1 at (2, 0), off the diagonal",
         ),
         # a self-add, which would scale row 2 by 2
         (
             a,
-            replace(good, log=_with_op(log, 7, (ROW_ADD, 2, 2, 1))),
+            SmithDecomposition(good.shape, good.diag, _with_op(log, 7, (ROW_ADD, 2, 2, 1))),
             "operation 7 adds a row or column to itself",
         ),
         # a row index that would be in range for a column
         (
             a,
-            replace(good, log=_with_op(log, 7, (ROW_ADD, 3, 1, 1))),
+            SmithDecomposition(good.shape, good.diag, _with_op(log, 7, (ROW_ADD, 3, 1, 1))),
             "operation 7 has an index out of range",
         ),
         # a wrong diagonal entry
-        (a, replace(good, diag=(1, 4, 0)), "replay gives 2 at (1, 1), the diagonal has 4"),
+        (
+            a,
+            SmithDecomposition(good.shape, (1, 4, 0), log),
+            "replay gives 2 at (1, 1), the diagonal has 4",
+        ),
         # two operations swapped: row 2 += row 1 before row 1 is negated
         (
             a,
-            replace(good, log=log[:24] + log[28:32] + log[24:28] + log[32:]),
+            SmithDecomposition(
+                good.shape, good.diag, log[:24] + log[28:32] + log[24:28] + log[32:]
+            ),
             "replay leaves -4 at (2, 1), off the diagonal",
         ),
         # the log's own form: an unknown kind, a cut record, a float multiplier
-        (a, replace(good, log=_with_op(log, 3, (5, 1, 0, -3))), "operation 3 has no kind 5"),
-        (a, replace(good, log=log[:-1]), "log is not integer quadruples"),
+        (
+            a,
+            SmithDecomposition(good.shape, good.diag, _with_op(log, 3, (5, 1, 0, -3))),
+            "operation 3 has no kind 5",
+        ),
+        (a, SmithDecomposition(good.shape, good.diag, log[:-1]), "log is not integer quadruples"),
         # a multiplier of 1/2, with which the replay would reach diag(1) from
         # [[2], [0]], whose Smith form is diag(2)
         (
@@ -290,14 +303,18 @@ def _log_mutants():
             "log is not integer quadruples",
         ),
         # one diagonal entry short, and a source of another shape
-        (a, replace(good, diag=(1, 2)), "shapes"),
+        (a, SmithDecomposition(good.shape, (1, 2), log), "shapes"),
         (IntMatrix(3, 5), good, "shapes"),
         # -d_2, with row 1 negated at the end of the log
-        (a, replace(good, diag=(1, -2, 0), log=log + [ROW_NEG, 1, 1, 0]), "negative diagonal"),
+        (
+            a,
+            SmithDecomposition(good.shape, (1, -2, 0), log + [ROW_NEG, 1, 1, 0]),
+            "negative diagonal",
+        ),
         # d_2 and d_3 = 0 swapped by a row and a column swap at the end of the log
         (
             a,
-            replace(good, diag=(1, 0, 2), log=log + [ROW_SWAP, 1, 2, 0, COL_SWAP, 1, 2, 0]),
+            SmithDecomposition(good.shape, (1, 0, 2), log + [ROW_SWAP, 1, 2, 0, COL_SWAP, 1, 2, 0]),
             "zeros must trail",
         ),
         # diag(2, 3) is its own reduction by the empty log, but 2 does not divide 3
@@ -325,7 +342,8 @@ def test_verify_catches_every_mutation():
     a = mutants[0][0]
     good = smith_normal_form(a)
     log = good.log
-    dataclasses.replace(good, log=log[:8] + log[12:16] + log[8:12] + log[16:]).verify(a)
+    swapped = log[:8] + log[12:16] + log[8:12] + log[16:]
+    SmithDecomposition(good.shape, good.diag, swapped).verify(a)
     # the dropped, wrong and swapped operations are still elementary, so their
     # witnesses are unimodular, but they do not reduce A to D
     for a, d, _ in [mutants[i] for i in (0, 1, 5)]:
