@@ -5,66 +5,41 @@ from its period and the dimension (or the full cellular cochain data) of the
 space carrying it.  The test suite checks every closed form against a
 brute-force oracle.
 
-The exports below are resolved on first use (PEP 562), so importing the
+Each submodule's ``__all__`` is the only list of what the package exports.
+The root resolves an export on first use (PEP 562) from the first submodule,
+in the order of ``_SUBMODULES``, whose ``__all__`` names it, so importing the
 package, or ``perindex.cli`` for a bounds query, does not load the
-Smith-normal-form engine in ``homology``.
+Smith-normal-form engine in ``homology``.  ``__all__``, ``dir(perindex)`` and
+a public name that no submodule exports import all five submodules (so does
+``from perindex import cli``, which asks the root for ``cli`` first); a name
+starting with ``_`` is refused without importing anything.
 """
 
+# in import order, so that resolving a bounds name never loads homology or ahss
 _SUBMODULES = ("numtheory", "stable_tables", "bounds", "homology", "ahss")
-
-# exported name -> the submodule that defines it
-_EXPORTS = {
-    name: module
-    for module, names in (
-        (
-            "numtheory",
-            "Factorization factorize integer_log is_prime kummer_carries m_closed n_func",
-        ),
-        (
-            "stable_tables",
-            "ExponentEntry FinAbGroup InfiniteExponentError exponent load_exponent_table"
-            " r_primary_exponent stable_exponent_BZr",
-        ),
-        (
-            "bounds",
-            "BoundReport HypothesisViolatedError OrdersProfile check_per_ind_consistency"
-            " degree_admissible dimension_forces_period lower_bound_skeleton"
-            " min_admissible_degree pu_eta_power_order upper_bound_prime_power"
-            " upper_bound_product",
-        ),
-        (
-            "homology",
-            "BocksteinMap ChainComplex CohomologyGroup ComplexFormatError IntMatrix"
-            " SmithDecomposition bockstein bockstein_of_cocycle bzr_skeleton_complex"
-            " chain_complex_from_json chain_complex_to_json cohomology_generators_Z"
-            " cohomology_mod cohomology_Z load_chain_complex rp_complex smith_normal_form"
-            " sphere_complex",
-        ),
-        (
-            "ahss",
-            "TwistedShape best_upper_bound ku_ahss_upper_bound load_twisted_shape"
-            " twisted_shape_from_json",
-        ),
-    )
-    for name in names.split()
-}
-
-__all__ = [*_EXPORTS, *_SUBMODULES]
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import a submodule, or the submodule defining an exported name, on
-    first access, and bind the name here so that later accesses are plain
+    """Import a submodule, or the submodule exporting a name, on first
+    access, and bind the name here so that later accesses are plain
     lookups."""
     if name in _SUBMODULES:
         __import__(f"{__name__}.{name}")  # the import binds the submodule here
         return globals()[name]
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__getattr__(_EXPORTS[name]), name)
-    return value
+    if name == "__all__":
+        value = [*_SUBMODULES]
+        for module in map(__getattr__, _SUBMODULES):
+            value += module.__all__
+        globals()[name] = value
+        return value
+    if not name.startswith("_"):
+        for module in map(__getattr__, _SUBMODULES):
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

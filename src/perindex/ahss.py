@@ -30,8 +30,6 @@ from .stable_tables import ExponentEntry, ExponentTable, _is_int, _read_json, r_
 
 __all__ = [
     "TwistedShape",
-    "TAG_AHSS",
-    "TAG_COMBINED",
     "ku_ahss_upper_bound",
     "best_upper_bound",
     "twisted_shape_from_json",

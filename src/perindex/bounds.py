@@ -23,15 +23,6 @@ __all__ = [
     "BoundReport",
     "OrdersProfile",
     "HypothesisViolatedError",
-    "KIND_UPPER",
-    "KIND_LOWER",
-    "TAG_PRODUCT",
-    "TAG_PRIME_POWER",
-    "TAG_SKELETON",
-    "TAG_PU_ORDER",
-    "TAG_OBSTRUCTION",
-    "TAG_CONSISTENCY",
-    "COMPOSITE_RULE_NOTE",
     "upper_bound_product",
     "upper_bound_prime_power",
     "lower_bound_skeleton",
@@ -58,9 +49,12 @@ COMPOSITE_RULE_NOTE = (
 
 # The largest dimension the upper bounds accept.  They build one factor per
 # degree and multiply the factors out, so the cost grows quadratically in the
-# dimension for large factors: at 10**4 the worst cases, with period 2**61-1,
-# take about 0.15 s (prime power) and 0.3-0.4 s (product); at 10**5 the
-# prime-power bound takes over 10 s.
+# dimension and with the size of the period.  With period 2**61-1 the library
+# calls at 10**4 take about 0.16 s (prime power) and 0.4 s (product), but the
+# CLI prints no such bound: from dimension 470 on it has more than the 4,300
+# digits Python converts to text, and the CLI exits 1 after about 0.55 s.
+# With period 10007**300 the prime-power bound took 3.1 s at dimension 1,000
+# and 14.7 s at 2,000, so at 10**4 it would take minutes (not run).
 MAX_DIM = 10**4
 
 

@@ -118,7 +118,7 @@ def _parse_orders(text: str) -> bounds.OrdersProfile:
         orders = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--orders must be comma-separated integers: {exc}") from exc
-    return bounds.OrdersProfile(orders[0] if orders else 0, orders)
+    return bounds.OrdersProfile(orders[0], orders)
 
 
 def _cmd_admissible(args):

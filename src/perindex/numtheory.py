@@ -25,7 +25,6 @@ __all__ = [
     "Factorization",
     "factorize",
     "is_prime",
-    "r_primary_part",
     "integer_log",
     "kummer_carries",
     "m_closed",
@@ -177,7 +176,9 @@ def factorize(a: int) -> Factorization:
 
     The primes up to 41 are divided out first.  Each remaining cofactor is
     either certified prime by is_prime or split by Pollard-Brent rho, and
-    the parts are treated the same way until all are prime.  Raises
+    the parts are treated the same way until all are prime.  A certified
+    prime is divided out of every cofactor still pending, so a prime power
+    p**k costs a few splits and tests, not k of each.  Raises
     ValueError, and never returns a guess, when a cofactor can be neither
     certified nor split: a strong probable prime at or above is_prime's
     exact bound, or a composite that rho does not split within its budget.
@@ -193,11 +194,18 @@ def factorize(a: int) -> Factorization:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if is_prime(m):
-            exponents[m] = exponents.get(m, 0) + 1
-        else:
+        if not is_prime(m):
             d = _rho_factor(m)
-            pending += [d, m // d]
+            pending += [m // d, d]  # d first: a prime it yields is stripped from m // d
+            continue
+        e, rest = 1, []
+        for c in pending:
+            while c % m == 0:
+                c //= m
+                e += 1
+            if c > 1:
+                rest.append(c)
+        exponents[m], pending = e, rest
     return Factorization._trusted(tuple(sorted(exponents.items())))
 
 

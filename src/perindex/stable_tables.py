@@ -20,15 +20,9 @@ __all__ = [
     "FinAbGroup",
     "InfiniteExponentError",
     "ExponentEntry",
-    "ExponentTable",
-    "UNKNOWN_ENTRY",
-    "PROVENANCE_FORMULA",
-    "PROVENANCE_TABLE",
-    "PROVENANCE_UNKNOWN",
     "exponent",
     "r_primary_exponent",
     "stable_exponent_BZr",
-    "exponent_table_from_json",
     "load_exponent_table",
 ]
 

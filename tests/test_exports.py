@@ -1,6 +1,6 @@
 """The package's exports resolve: each module's __all__ names only what the
-module defines, the package root resolves its exports lazily from one table
-of exported names, and a process imports only the modules its command uses."""
+module defines, the package root resolves its exports lazily from those lists
+alone, and a process imports only the modules its command uses."""
 
 import ast
 import importlib
@@ -32,12 +32,23 @@ def test_every_exported_name_exists():
         assert not missing, (module.__name__, missing)
 
 
+def _library_modules():
+    """Library module name -> module."""
+    return {name: importlib.import_module(f"perindex.{name}") for name in LIBRARY_MODULES}
+
+
 def test_package_root_imports_only_exported_names():
-    # every entry of the root's table names an export of its module
-    assert perindex._EXPORTS
-    for name, module_name in perindex._EXPORTS.items():
-        module = importlib.import_module(f"perindex.{module_name}")
-        assert name in module.__all__, (module_name, name)
+    # each public name is listed once, by the module that defines it
+    declared = {}
+    for module in _library_modules().values():
+        for name in module.__all__:
+            assert name not in declared, (name, declared[name], module.__name__)
+            declared[name] = module.__name__
+            assert getattr(module, name).__module__ == module.__name__, name
+    assert sorted(perindex.__all__) == sorted([*declared, *LIBRARY_MODULES])
+    # a bounds name resolves without loading the SNF engine
+    loaded = _loaded_after("import perindex; perindex.upper_bound_product")
+    assert "perindex.bounds" in loaded and not loaded & {"perindex.homology", "perindex.ahss"}
     # and the root imports nothing up front from its submodules
     tree = ast.parse(inspect.getsource(perindex))
     eager = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
@@ -66,16 +77,23 @@ def test_cli_import_leaves_the_snf_engine_and_dataclasses_out():
     assert not {m for m in _loaded_after("import perindex") if m.startswith("perindex.")}
 
 
+def test_private_names_are_refused_without_imports():
+    statement = (
+        "import perindex; assert not hasattr(perindex, '__wrapped__'); "
+        "assert not hasattr(perindex, '_EXPORTS')"
+    )
+    assert not {m for m in _loaded_after(statement) if m.startswith("perindex.")}
+
+
 def test_star_import_and_lazy_attributes():
     namespace = {}
     exec("from perindex import *", namespace)
-    for name in perindex._EXPORTS:
-        assert namespace[name] is getattr(
-            importlib.import_module(f"perindex.{perindex._EXPORTS[name]}"), name
-        )
-    for name in LIBRARY_MODULES:
-        assert namespace[name] is importlib.import_module(f"perindex.{name}")
-        assert getattr(perindex, name) is namespace[name]
+    for module_name, module in _library_modules().items():
+        assert namespace[module_name] is module
+        assert getattr(perindex, module_name) is module
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name) is getattr(perindex, name)
+    assert set(namespace) - {"__builtins__"} == set(perindex.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         perindex.no_such_name  # noqa: B018
     assert set(perindex.__all__) <= set(dir(perindex))

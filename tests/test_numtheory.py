@@ -295,6 +295,19 @@ def test_factorize_certifies_each_prime_once(monkeypatch):
         Factorization(((p * q, 1),))
 
 
+def test_factorize_strips_a_certified_prime_from_every_pending_cofactor(monkeypatch):
+    splits = []
+    split = numtheory._rho_factor
+    monkeypatch.setattr(numtheory, "_rho_factor", lambda n: splits.append(n) or split(n))
+    # peeling off one prime factor per split took 59 splits here, and 7 below
+    assert factorize.__wrapped__(10007**60).pairs == ((10007, 60),)
+    assert len(splits) <= 2
+    splits.clear()
+    p, q = 1_000_003, 1_000_033
+    assert factorize.__wrapped__(p**5 * q**3).pairs == ((p, 5), (q, 3))
+    assert len(splits) <= 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**6))
 def test_r_primary_part_matches_valuations(a, r):

@@ -63,7 +63,8 @@ UNHASHABLE = {SmithDecomposition, BocksteinMap}
 
 
 def test_every_record_is_covered():
-    records = {getattr(perindex, name) for name in perindex._EXPORTS} & set(VALID)
+    exported = [getattr(perindex, name) for name in perindex.__all__]
+    records = {value for value in exported if isinstance(value, type) and issubclass(value, tuple)}
     assert records == set(VALID)
     assert set(INVALID) == set(VALID) - UNHASHABLE
 
