@@ -6,29 +6,30 @@ its diagonal and the log of the elementary row and column operations that
 reduced A to D, and is certified by replaying that log on a fresh copy of A:
 every logged operation is an elementary integer matrix of determinant +-1,
 so a replay that ends exactly at D proves U A V = D with U and V unimodular.
-The witnesses U, V and their inverses are built from the log only when
-asked for.  Products skip zero entries and treat +-1 as addition and
-subtraction, which suits the sparse 0/+-1 boundary matrices of cell
-complexes.  Cohomology groups, and the connecting map of the coefficient
-sequence Z -> Z -> Z/r written in Smith-adapted bases, follow from the
-invariant factors of the boundary maps by the universal coefficient theorem;
-each nonzero boundary is reduced once per complex, and no witness is built.
-Witnesses (change-of-basis matrices, hence generating cochains) are built
-only where classes must be named: by cohomology_generators_Z and
-bockstein_of_cocycle.
+The witnesses U, V and their inverses are never stored: the log, replayed
+on the rows of a matrix, multiplies it by any of them.  Products skip zero
+entries and treat +-1 as addition and subtraction, which suits the sparse
+0/+-1 boundary matrices of cell complexes.  Cohomology groups, and the
+connecting map of the coefficient sequence Z -> Z -> Z/r written in
+Smith-adapted bases, follow from the invariant factors of the boundary maps
+by the universal coefficient theorem; each nonzero boundary is reduced once
+per complex, and no witness is applied.  Witnesses are applied only where
+classes must be named, to the few vectors that name them: by
+cohomology_generators_Z to the generating cochains, and by
+bockstein_of_cocycle to one cocycle.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
 degree k+1.  Smith-adapted bases come from a decomposition
 U delta_k V = D with nonzero diagonal d_1 | ... | d_q: the columns of u_inv
 with d_i > 1 generate the torsion of H^(k+1)(X; Z), and the columns of V
-past q span the degree-k cocycles.
+past q span the degree-k cocycles.  Such columns are read as u_inv (or V)
+times columns of the identity, never by building the square witness.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from itertools import compress
 from operator import add, mul, sub
 
@@ -233,11 +234,13 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
     of columns i and t, the negation of row i (t = i), and row (or column)
     i += q * row (or column) t with i != t.  The rank is the number of
     nonzero diagonal entries.  The witnesses U, V and their inverses u_inv
-    and v_inv are built on first use, by replaying the log on identities,
-    and kept: U and u_inv from the row operations, V and v_inv from the
-    column operations.  The class keeps an instance dict, unlike the other
-    records, so that the witnesses are memoised.
+    and v_inv are not stored: _act applies one of them to the rows of a
+    matrix by replaying the log, U and u_inv from the row operations, V and
+    v_inv from the column operations, and each witness property builds its
+    matrix that way from an identity, anew on every read.
     """
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -246,25 +249,54 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
     def diagonal(self) -> tuple[int, ...]:
         return self.diag
 
-    @cached_property
-    def _witnesses(self) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-        return _build_witnesses(self.log, *self.shape)
+    def _act(self, which: str, rows: list[list[int]]) -> list[list[int]]:
+        """The rows of W @ M, for the witness W named by which ("U", "u_inv",
+        "V" or "v_inv") and M given by its rows, by replaying the log on them.
+
+        U applies the row operations in log order, and u_inv their inverses
+        in reverse order.  Column i += q * column t multiplies on the right
+        by I + q e_t e_i^T, which acts on the rows of M as row t += q * row i:
+        V applies that in reverse log order, and v_inv its inverse in log
+        order.  Every step is a swap, a negation or one whole-row _axpy, and
+        the rows passed in are not modified.
+        """
+        by_rows = which in ("U", "u_inv")
+        sign = 1 if which in ("U", "V") else -1
+        swap, add = (_ROW_SWAP, _ROW_ADD) if by_rows else (_COL_SWAP, _COL_ADD)
+        ops = list(zip(*[iter(self.log)] * 4))
+        if which in ("u_inv", "V"):
+            ops.reverse()
+        rows = list(rows)
+        for kind, i, t, q in ops:
+            if kind == swap:
+                rows[i], rows[t] = rows[t], rows[i]
+            elif kind == add and by_rows:
+                rows[i] = _axpy(rows[i], rows[t], sign * q)
+            elif kind == add:
+                rows[t] = _axpy(rows[t], rows[i], sign * q)
+            elif kind == _ROW_NEG and by_rows:
+                rows[i] = [-x for x in rows[i]]
+        return rows
+
+    def _witness(self, which: str) -> IntMatrix:
+        n = self.shape[0 if which in ("U", "u_inv") else 1]
+        return IntMatrix._trusted(n, n, self._act(which, IntMatrix.identity(n).data))
 
     @property
     def U(self) -> IntMatrix:
-        return self._witnesses[0]
+        return self._witness("U")
 
     @property
     def V(self) -> IntMatrix:
-        return self._witnesses[1]
+        return self._witness("V")
 
     @property
     def u_inv(self) -> IntMatrix:
-        return self._witnesses[2]
+        return self._witness("u_inv")
 
     @property
     def v_inv(self) -> IntMatrix:
-        return self._witnesses[3]
+        return self._witness("v_inv")
 
     def verify(self, a: IntMatrix) -> None:
         """Re-check the decomposition against the source matrix by replaying
@@ -446,50 +478,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return decomposition
 
 
-def _build_witnesses(
-    log: list[int], m: int, n: int
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """U, V, u_inv and v_inv of a verified decomposition of an m x n matrix,
-    bit for bit the products of its logged elementary matrices.
-
-    U is the row operations applied to I_m in log order, and u_inv the
-    inverse operations applied to the columns of I_m; V is the column
-    operations applied to the columns of I_n, and v_inv their inverses
-    applied to its rows.  u_inv and V, on which the operations act by
-    columns, are held transposed until the end, so each operation updates a
-    witness with one whole-row list operation.
-    """
-    u = IntMatrix.identity(m).data
-    ui_t = IntMatrix.identity(m).data  # u_inv transposed
-    v_t = IntMatrix.identity(n).data  # V transposed
-    vi = IntMatrix.identity(n).data
-    ops = iter(log)
-    for kind, i, t, q in zip(ops, ops, ops, ops):
-        if kind == _ROW_SWAP:
-            u[i], u[t] = u[t], u[i]
-            ui_t[i], ui_t[t] = ui_t[t], ui_t[i]
-        elif kind == _COL_SWAP:
-            v_t[i], v_t[t] = v_t[t], v_t[i]
-            vi[i], vi[t] = vi[t], vi[i]
-        elif kind == _ROW_NEG:
-            u[i] = [-x for x in u[i]]
-            ui_t[i] = [-x for x in ui_t[i]]
-        elif kind == _ROW_ADD:
-            # row i += q * row t; its inverse subtracts q * column i from column t
-            u[i] = _axpy(u[i], u[t], q)
-            ui_t[t] = _axpy(ui_t[t], ui_t[i], -q)
-        else:
-            # column i += q * column t; its inverse subtracts q * row i from row t
-            v_t[i] = _axpy(v_t[i], v_t[t], q)
-            vi[t] = _axpy(vi[t], vi[i], -q)
-    return (
-        IntMatrix._trusted(m, m, u),
-        IntMatrix._trusted(n, n, v_t).transpose(),
-        IntMatrix._trusted(m, m, ui_t).transpose(),
-        IntMatrix._trusted(n, n, vi),
-    )
-
-
 class ChainComplex:
     """A finite complex of free Z-modules with validated boundary maps.
 
@@ -626,29 +614,28 @@ def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], in
     """Generator cochains for the degree-k integral cohomology, as
     (cochain, order) pairs, torsion first and order 0 for free generators.
 
-    The columns of V past the rank of the coboundary's Smith decomposition
-    span the cocycles; the incoming coboundaries, written in that basis, are
-    reduced once more, and the columns of its u_inv with a non-unit diagonal
-    entry, mapped back to cochains, are the generators: the columns of one
-    product of the kernel basis with those columns.
+    The columns of V past the rank q of the coboundary's Smith decomposition
+    span the cocycles.  The incoming coboundaries, written in that basis
+    (rows q and on of v_inv times them), are reduced once more, and the
+    columns of its u_inv with a non-unit diagonal entry, stacked under q zero
+    rows and multiplied by V, are the generators.  Each product is a replay
+    of a log on the rows of its right factor, so no square witness is built.
     """
     _check_degree(c, k)
     n_k = c.cell_counts[k]
     snf_out = smith_normal_form(c.coboundary(k))
     rank = snf_out.rank
     incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(n_k, 0)
-    w = snf_out.v_inv @ incoming
-    if any(map(any, w.data[:rank])):
+    w = snf_out._act("v_inv", incoming.data)
+    if any(map(any, w[:rank])):
         raise RuntimeError("incoming image escapes the kernel; complex is invalid")
-    snf_q = smith_normal_form(IntMatrix._trusted(n_k - rank, incoming.cols, w.data[rank:]))
-    kernel_basis = IntMatrix._trusted(n_k, n_k - rank, [row[rank:] for row in snf_out.V.data])
+    snf_q = smith_normal_form(IntMatrix._trusted(n_k - rank, incoming.cols, w[rank:]))
     orders = snf_q.diagonal()[: snf_q.rank] + (0,) * (n_k - rank - snf_q.rank)
     kept = [i for i, d in enumerate(orders) if d != 1]
-    chosen = IntMatrix._trusted(
-        n_k - rank, len(kept), [[row[i] for i in kept] for row in snf_q.u_inv.data]
-    )
-    cochains = (kernel_basis @ chosen).transpose().data
-    return [(x, orders[i]) for x, i in zip(cochains, kept)]
+    unit_columns = [[int(j == i) for i in kept] for j in range(n_k - rank)]
+    chosen = snf_q._act("u_inv", unit_columns)
+    cochains = snf_out._act("V", [[0] * len(kept) for _ in range(rank)] + chosen)
+    return [(list(x), orders[i]) for x, i in zip(zip(*cochains), kept)]
 
 
 def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
@@ -723,15 +710,21 @@ def bockstein_of_cocycle(c: ChainComplex, k: int, r: int, cochain) -> tuple[int,
     """Connecting-map image of one mod-r cocycle, given as an integer lift x,
     in the target generators of bockstein(c, k, r).
 
-    One verified Smith decomposition U delta_k V = D gives y = v_inv x and
-    delta(x) = u_inv D y, so delta(x) is divisible by r exactly when every
-    d_i y_i is, and delta(x) / r has coordinate (d_i y_i / r) mod d_i on the
-    generator u_inv e_i for each d_i > 1.  The free part of the target gets
-    zeros.  Raises ValueError unless delta(x) = 0 mod r.
+    One verified Smith decomposition U delta_k V = D gives y = v_inv x, by
+    replaying its column operations on x, and delta(x) = u_inv D y, so
+    delta(x) is divisible by r exactly when every d_i y_i is, and
+    delta(x) / r has coordinate (d_i y_i / r) mod d_i on the generator
+    u_inv e_i for each d_i > 1.  The free part of the target gets zeros.
+    Raises ValueError unless x has one integer entry per degree-k cell (a
+    float or a bool is refused) and delta(x) = 0 mod r.
     """
     _check_bockstein_args(c, k, r)
+    x = list(cochain)
+    if len(x) != c.cell_counts[k]:
+        raise ValueError(f"cochain of length {len(x)} for {c.cell_counts[k]} cells in degree {k}")
+    _check_integers(x, "cochain")
     snf = smith_normal_form(c.coboundary(k))
-    y = snf.v_inv.apply(cochain)
+    y = [row[0] for row in snf._act("v_inv", [[a] for a in x])]
     diagonal = snf.diagonal()[: snf.rank]
     if any(d * a % r for d, a in zip(diagonal, y)):
         raise ValueError("cochain is not a cocycle mod r")

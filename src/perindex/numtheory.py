@@ -170,12 +170,50 @@ def _rho_factor(n: int) -> int:
             return g
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1, with no float.
+
+    Newton's step x -> ((k - 1) x + n // x**(k - 1)) // k, started above the
+    root, decreases until it reaches the root and then stops.  The start is
+    the root of n with its last k*h bits cut, plus one, shifted up h bits,
+    where h is half the root's bit length: that lies above the root and
+    agrees with it in about h bits, so a few steps suffice, where a start at
+    a power of two would cost about k steps.
+    """
+    size = -(-n.bit_length() // k)  # the root has at most this many bits
+    if size <= 1:
+        x = 2
+    else:
+        h = size // 2
+        x = (_iroot(n >> (k * h), k) + 1) << h
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(b, k) with b**k == n and k prime, or None when n is no such power.
+
+    n has no prime factor up to 41, so a base is at least 43 and only the
+    primes k up to log_43(n) are tried, found by trial division.
+    """
+    for k in range(2, integer_log(43, n) + 1):
+        if all(k % j for j in range(2, math.isqrt(k) + 1)):
+            b = _iroot(n, k)
+            if b**k == n:
+                return b, k
+    return None
+
+
 @lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
 def factorize(a: int) -> Factorization:
     """Factor a >= 1 exactly.
 
     The primes up to 41 are divided out first.  Each remaining cofactor is
-    either certified prime by is_prime or split by Pollard-Brent rho, and
+    either certified prime by is_prime, or found to be an exact k-th power
+    b**k and replaced by k copies of b, or split by Pollard-Brent rho, and
     the parts are treated the same way until all are prime.  A certified
     prime is divided out of every cofactor still pending, so a prime power
     p**k costs a few splits and tests, not k of each.  Raises
@@ -195,8 +233,13 @@ def factorize(a: int) -> Factorization:
     while pending:
         m = pending.pop()
         if not is_prime(m):
-            d = _rho_factor(m)
-            pending += [m // d, d]  # d first: a prime it yields is stripped from m // d
+            power = _perfect_power(m)
+            if power:
+                base, k = power
+                pending += [base] * k
+            else:
+                d = _rho_factor(m)
+                pending += [m // d, d]  # d first: a prime it yields is stripped from m // d
             continue
         e, rest = 1, []
         for c in pending:

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -105,3 +106,20 @@ def test_submodules_resolve_after_a_bare_import():
         "assert perindex.ahss.TwistedShape.__module__ == 'perindex.ahss'"
     )
     assert {"perindex.homology", "perindex.ahss"} <= loaded
+
+
+def test_library_imports_only_the_standard_library():
+    # the runtime needs no third-party package: every import in the library
+    # is relative or names a standard-library module
+    paths = sorted(pathlib.Path(perindex.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} >= {"__init__", "cli", *LIBRARY_MODULES}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -308,6 +308,53 @@ def test_factorize_strips_a_certified_prime_from_every_pending_cofactor(monkeypa
     assert len(splits) <= 2
 
 
+# A 61-bit prime p and an exact k-th power of it: rho cannot split p**2
+# within its budget (it was refused after about 3.5 s), the k-th root can.
+M61_POWERS = [(2**61 - 1) ** k for k in range(2, 6)]
+PRIME_POWER_PRODUCTS = [
+    (2**61 - 1) ** 2 * 1_000_003,
+    1_000_003**2 * (2**61 - 1),
+    (2**61 - 1) ** 2 * 10007**3,
+    (1_000_003 * 1_000_033) ** 6,
+    43**97,
+]
+
+
+def test_factorize_perfect_powers_of_a_large_prime():
+    m61 = 2**61 - 1
+    for k, n in enumerate(M61_POWERS, start=2):
+        assert factorize.__wrapped__(n).pairs == ((m61, k),)
+    p, q = 1_000_003, 1_000_033
+    expected = [
+        ((p, 1), (m61, 2)),
+        ((p, 2), (m61, 1)),
+        ((10007, 3), (m61, 2)),
+        ((p, 6), (q, 6)),
+        ((43, 97),),
+    ]
+    for n, pairs in zip(PRIME_POWER_PRODUCTS, expected):
+        assert factorize.__wrapped__(n).pairs == pairs, n
+
+
+def test_factorize_perfect_powers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in M61_POWERS + PRIME_POWER_PRODUCTS:
+        assert dict(factorize.__wrapped__(n).pairs) == sympy.factorint(n), n
+
+
+def test_integer_root_is_exact():
+    rng = random.Random(61)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(1, 600)) + 1
+        k = rng.randint(2, 80)
+        x = numtheory._iroot(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k)
+    for x in (43, 2**61 - 1, 3**200 + 2):
+        for k in (2, 3, 7, 31):
+            assert numtheory._iroot(x**k, k) == x
+            assert numtheory._iroot(x**k - 1, k) == x - 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**6))
 def test_r_primary_part_matches_valuations(a, r):
