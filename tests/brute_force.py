@@ -89,3 +89,39 @@ def diagonal_matrix(rows: int, cols: int, diagonal) -> IntMatrix:
     for i, d in enumerate(diagonal):
         data[i][i] = d
     return IntMatrix(rows, cols, data)
+
+
+def column(a: IntMatrix, j: int) -> list[int]:
+    """Column j of a."""
+    return [row[j] for row in a.data]
+
+
+def apply(a: IntMatrix, vec) -> list[int]:
+    """The product of a with a vector of integers, entry by entry."""
+    vec = list(vec)
+    assert len(vec) == a.cols, (len(vec), a.shape)
+    return [sum(x * y for x, y in zip(row, vec)) for row in a.data]
+
+
+def connected_blocks(a: IntMatrix) -> list[IntMatrix]:
+    """The connected blocks of the nonzero pattern of a, each transposed,
+    in the order of their first rows, by their definition: from a nonzero
+    row not yet placed, take every column its rows meet and every row those
+    columns meet, until nothing more is taken."""
+    placed: set[int] = set()
+    blocks = []
+    for start, row in enumerate(a.data):
+        if start in placed or not any(row):
+            continue
+        rows: set[int] = {start}
+        cols: set[int] = set()
+        while True:
+            more_cols = {j for i in rows for j in range(a.cols) if a.data[i][j]}
+            more_rows = {i for i in range(a.rows) for j in more_cols if a.data[i][j]}
+            if (more_rows, more_cols) == (rows, cols):
+                break
+            rows, cols = more_rows, more_cols
+        placed |= rows
+        data = [[a.data[i][j] for i in sorted(rows)] for j in sorted(cols)]
+        blocks.append(IntMatrix(len(cols), len(rows), data))
+    return blocks

@@ -38,7 +38,14 @@ from perindex.homology import (
 )
 from perindex.numtheory import factorize
 
-from brute_force import diagonal_matrix, euler_characteristic, invariant_form_oracle
+from brute_force import (
+    apply,
+    column,
+    connected_blocks,
+    diagonal_matrix,
+    euler_characteristic,
+    invariant_form_oracle,
+)
 
 
 def random_matrix(rng, max_dim=30, span=9):
@@ -123,7 +130,7 @@ def test_matmul_and_transpose_match_naive_oracle(m, k, p, data):
     assert product.data == naive_product(a, b, p)
     assert left.transpose().shape == (k, m)
     assert left.transpose().data == naive_transpose(a, k)
-    assert left.apply(vec) == [row[0] for row in naive_product(a, [[x] for x in vec], 1)]
+    assert apply(left, vec) == [row[0] for row in naive_product(a, [[x] for x in vec], 1)]
     # results share no rows with their factors
     for row in product.data + left.transpose().data:
         row.append(0)
@@ -537,7 +544,7 @@ def _generators_by_column(c, k):
     kernel_basis = IntMatrix(n_k, n_k - rank, [row[rank:] for row in snf_out.V.data])
     orders = snf_q.diagonal()[: snf_q.rank] + (0,) * (n_k - rank - snf_q.rank)
     return [
-        (kernel_basis.apply(snf_q.u_inv.column(i)), d) for i, d in enumerate(orders) if d != 1
+        (apply(kernel_basis, column(snf_q.u_inv, i)), d) for i, d in enumerate(orders) if d != 1
     ]
 
 
@@ -809,11 +816,11 @@ def tensor_complex(*factors):
             m = IntMatrix(len(cells[n - 1]), len(cells[n]))
             for col, (p, i, q, j) in enumerate(cells[n]):
                 if p:
-                    for i2, x in enumerate(a.boundary(p).column(i)):
+                    for i2, x in enumerate(column(a.boundary(p), i)):
                         if x:
                             m.data[index[n - 1][(p - 1, i2, q, j)]][col] += x
                 if q:
-                    for j2, y in enumerate(b.boundary(q).column(j)):
+                    for j2, y in enumerate(column(b.boundary(q), j)):
                         if y:
                             m.data[index[n - 1][(p, i, q - 1, j2)]][col] += (-1) ** p * y
             boundaries.append(m)
@@ -936,7 +943,7 @@ def test_uct_groups_on_rebased_complexes():
         assert_uct_matches(c, kunneth(*(bzr_groups(r, top) for r, top in dims)))
 
 
-def test_group_work_reduces_each_boundary_once(monkeypatch):
+def test_group_work_reduces_each_distinct_block_once(monkeypatch):
     c = tensor_complex(
         bzr_skeleton_complex(6, 4), bzr_skeleton_complex(4, 4), bzr_skeleton_complex(12, 4)
     )
@@ -953,18 +960,27 @@ def test_group_work_reduces_each_boundary_once(monkeypatch):
         cohomology_mod(c, k, 6)
     TwistedShape.from_complex(c, 6)
     assert c.top_dim == 12
-    # a zero boundary has no nonzero invariant factor and is not reduced
-    assert c.boundaries[0].is_zero()
-    # the rest are reduced on their nonzero rows and columns, transposed
+    # a zero boundary has no block and is not reduced
+    assert c.boundaries[0].is_zero() and not connected_blocks(c.boundaries[0])
+    # the rest are cut into the blocks of their nonzero pattern, and each
+    # distinct block is reduced once, transposed, in degree order
+    distinct = []
+    for b in c.boundaries:
+        distinct += [a for a in connected_blocks(b) if a not in distinct]
+    assert reduced == distinct
+    assert len(reduced) == 12
+    assert sum(a.rows * a.cols for a in reduced) == 30
+    assert max(a.shape for a in reduced) == (3, 3)
+    # where the boundaries cut to their nonzero rows and columns alone had
+    # 11 cores of 1,143 entries, the largest 16 x 18
     cores = [
-        (sum(1 for j in range(b.cols) if any(b.column(j))), sum(1 for row in b.data if any(row)))
+        (sum(1 for j in range(b.cols) if any(column(b, j))), sum(1 for row in b.data if any(row)))
         for b in c.boundaries
         if not b.is_zero()
     ]
-    assert [a.shape for a in reduced] == cores
-    assert sum(r * s for r, s in cores) < sum(b.rows * b.cols for b in c.boundaries)
+    assert (len(cores), sum(r * s for r, s in cores), max(cores)) == (11, 1143, (16, 18))
     for a in reduced:
-        assert all(map(any, a.data)) and all(any(a.column(j)) for j in range(a.cols))
+        assert all(map(any, a.data)) and all(any(column(a, j)) for j in range(a.cols))
 
 
 @pytest.mark.parametrize("counts", [[1000, 0, 1000], [1000, 1, 1000], [1000, 1]])
@@ -1057,6 +1073,113 @@ def test_factors_from_the_core_match_the_full_smith_form():
             assert (g.free_rank, g.torsion) == (orders.count(0), tuple(o for o in orders if o))
 
 
+def riffled(rng, groups, extra):
+    """A random order of the indices of the given groups and of `extra` more,
+    in which each group keeps its own order."""
+    labels = [g for g, group in enumerate(groups) for _ in group] + [None] * extra
+    rng.shuffle(labels)
+    queues = [iter(group) for group in groups]
+    spare = iter(range(sum(map(len, groups)), sum(map(len, groups)) + extra))
+    return [next(spare) if g is None else next(queues[g]) for g in labels]
+
+
+def test_block_factors_match_the_whole_smith_form(monkeypatch):
+    """Random connected blocks, some repeated verbatim and some with rows
+    negated, placed block-diagonally beside zero rows and columns, then
+    permuted: the merged factors are the Smith diagonal of the whole matrix
+    (and sympy's), and each distinct block is reduced once."""
+    try:
+        import sympy
+        from sympy.matrices.normalforms import invariant_factors
+    except ImportError:
+        sympy = None
+    real = homology.smith_normal_form
+    reduced = []
+
+    def counting(a):
+        reduced.append(a)
+        return real(a)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
+    rng = random.Random(17)
+    repeats = negated = 0
+    for case in range(120):
+        blocks, count = [], rng.randint(1, 6)
+        while len(blocks) < count:
+            pick = rng.random()
+            if blocks and pick < 0.35:
+                blocks.append(rng.choice(blocks))
+                repeats += 1
+            elif blocks and pick < 0.5:
+                signs = [rng.choice((-1, 1)) for _ in range(len(blocks[-1]))]
+                blocks.append([[s * x for x in row] for s, row in zip(signs, blocks[-1])])
+                negated += -1 in signs
+            else:
+                m, n = rng.choice((1, 1, 2, 3)), rng.choice((1, 1, 2, 3))
+                data = [
+                    [rng.choice((0, -1, 1, rng.randint(-6, 6))) for _ in range(n)]
+                    for _ in range(m)
+                ]
+                if [(a.rows, a.cols) for a in connected_blocks(IntMatrix(m, n, data))] == [(n, m)]:
+                    blocks.append(data)
+        row_groups, col_groups, m, n = [], [], 0, 0
+        for data in blocks:
+            row_groups.append(range(m, m + len(data)))
+            col_groups.append(range(n, n + len(data[0])))
+            m, n = m + len(data), n + len(data[0])
+        whole = [[0] * (n + 2) for _ in range(m + 2)]
+        for data, rows, cols in zip(blocks, row_groups, col_groups):
+            for i, row in zip(rows, data):
+                whole[i][cols.start : cols.stop] = row
+        # a riffle keeps each block's own order, so copies stay equal; a
+        # shuffle need not, and copies may then be distinct blocks
+        for permute in ("riffle", "shuffle"):
+            if permute == "riffle":
+                row_order = riffled(rng, row_groups, 2)
+                col_order = riffled(rng, col_groups, 2)
+            else:
+                row_order = rng.sample(range(m + 2), m + 2)
+                col_order = rng.sample(range(n + 2), n + 2)
+            a = IntMatrix(m + 2, n + 2, [[whole[i][j] for j in col_order] for i in row_order])
+            c = ChainComplex([m + 2, n + 2], [a])
+            reduced.clear()
+            factors = c._nonzero_factors(1)
+            assert factors == tuple(d for d in real(a).diagonal() if d)
+            if sympy is not None and case < 40:
+                expected = invariant_factors(sympy.Matrix(a.data), domain=sympy.ZZ)
+                assert factors == tuple(int(x) for x in expected if x)
+            distinct = []
+            for block in connected_blocks(a):
+                if block not in distinct:
+                    distinct.append(block)
+            assert sorted(b.data for b in reduced) == sorted(b.data for b in distinct)
+            if permute == "riffle":
+                copies = []
+                for data in blocks:
+                    transposed = [list(col) for col in zip(*data)]
+                    if transposed not in copies:
+                        copies.append(transposed)
+                assert sorted(b.data for b in reduced) == sorted(copies)
+    assert repeats > 50 and negated > 20
+
+
+def test_a_permuted_diagonal_boundary_takes_bounded_time():
+    # One entry per row and column, so each is a 1 x 1 block and the distinct
+    # blocks are [2] and [3]; the cubic elimination of the whole 1000 x 1000
+    # core would take about 25 s here (1.63 s at 400 x 400).
+    rng = random.Random(1000)
+    n = 1000
+    columns = rng.sample(range(n), n)
+    data = [[0] * n for _ in range(n)]
+    for i, j in enumerate(columns):
+        data[i][j] = 3 if i % 2 else 2
+    start = time.perf_counter()
+    c = ChainComplex([n, n], [IntMatrix(n, n, data)])
+    groups = [cohomology_Z(c, k) for k in range(2)]
+    assert time.perf_counter() - start < 2
+    assert [(g.free_rank, g.torsion) for g in groups] == [(0, ()), (0, (6,) * 500)]
+
+
 # --- The Bockstein map against its cochain-level oracle ----------------------
 
 
@@ -1087,10 +1210,10 @@ class IntegralClasses:
     def class_coordinates(self, cochain):
         """Coordinates of an integer cocycle in the generator basis: torsion
         coordinates reduced modulo their orders, then free coordinates."""
-        full = self.v_inv.apply(cochain)
+        full = apply(self.v_inv, cochain)
         if any(full[: self.rank]):
             raise ValueError("cochain is not a cocycle")
-        quotient = self.uq.apply(full[self.rank :])
+        quotient = apply(self.uq, full[self.rank :])
         return tuple(b % d if d else b for b, d in zip(quotient, self.orders) if d != 1)
 
 
@@ -1132,15 +1255,15 @@ class ModClasses:
     def class_coordinates(self, cochain):
         """Coordinates of the class of a mod-r cocycle lift, reduced modulo
         the orders of the generators."""
-        full = self.v_inv.apply(cochain)
+        full = apply(self.v_inv, cochain)
         assert all(a % scale == 0 for a, scale in zip(full, self.scales)), "not a cocycle mod r"
-        quotient = self.uq.apply([a // scale for a, scale in zip(full, self.scales)])
+        quotient = apply(self.uq, [a // scale for a, scale in zip(full, self.scales)])
         return tuple(b % d for b, d in zip(quotient, self.orders) if d > 1)
 
     def generators(self):
         """(lift, order) pairs for the generators of nontrivial order."""
         return [
-            (self.lattice_basis.apply(self.uq_inv.column(i)), d)
+            (apply(self.lattice_basis, column(self.uq_inv, i)), d)
             for i, d in enumerate(self.orders)
             if d > 1
         ]
@@ -1168,9 +1291,9 @@ def cochain_bockstein(c, k, r):
     incoming = c.coboundary(k - 1) if k > 0 else IntMatrix(c.cell_counts[k], 0)
     assert (delta @ incoming).is_zero(), "connecting map is not well defined on classes"
     for i in range(delta.cols):
-        assert not any(target.class_coordinates(delta.column(i))), "not well defined on classes"
+        assert not any(target.class_coordinates(column(delta, i))), "not well defined on classes"
     generators = source.generators()
-    columns = [target.class_coordinates(divide_cochain(delta.apply(x), r)) for x, _ in generators]
+    columns = [target.class_coordinates(divide_cochain(apply(delta, x), r)) for x, _ in generators]
     torsion, free_rank = target.group.torsion, target.group.free_rank
     assert not any(any(col[len(torsion) :]) for col in columns), "image must be torsion"
     target_orders = torsion + (0,) * free_rank
@@ -1217,7 +1340,7 @@ def smith_source_generators(c, k, r):
     of degree k whose reduction mod r is nonzero."""
     snf = smith_normal_form(c.coboundary(k))
     lifted = [
-        [r // math.gcd(d, r) * x for x in snf.V.column(i)]
+        [r // math.gcd(d, r) * x for x in column(snf.V, i)]
         for i, d in enumerate(snf.diagonal()[: snf.rank])
         if math.gcd(d, r) > 1
     ]
@@ -1286,7 +1409,7 @@ def test_bockstein_closed_form_matches_cochain_oracle():
                 # oracle coordinates of the generator u_inv e_i with d_i > 1
                 snf = smith_normal_form(c.coboundary(k))
                 generators = [
-                    snf.u_inv.column(i)
+                    column(snf.u_inv, i)
                     for i, d in enumerate(snf.diagonal()[: snf.rank])
                     if d > 1
                 ]
@@ -1298,7 +1421,7 @@ def test_bockstein_closed_form_matches_cochain_oracle():
                 def check_cocycle(x):
                     image = bockstein_of_cocycle(c, k, r, x)
                     expected = target_classes.class_coordinates(
-                        divide_cochain(c.coboundary(k).apply(x), r)
+                        divide_cochain(apply(c.coboundary(k), x), r)
                     )
                     assert len(image) == len(expected) == len(beta.target_orders)
                     assert all(0 <= x < d for x, d in zip(image, torsion))
@@ -1312,13 +1435,13 @@ def test_bockstein_closed_form_matches_cochain_oracle():
                 lifts = smith_source_generators(c, k, r)
                 assert len(lifts) == len(beta.source_orders)
                 for j, x in enumerate(lifts):
-                    assert list(bockstein_of_cocycle(c, k, r, x)) == beta.matrix.column(j)
+                    assert list(bockstein_of_cocycle(c, k, r, x)) == column(beta.matrix, j)
                 # and one between the sources: the Smith lifts have the stated
                 # orders and map onto the oracle's generators
                 q_columns = [source_classes.class_coordinates(x) for x in lifts]
                 source_torsion = oracle.source_orders
-                for column, order in zip(q_columns, beta.source_orders):
-                    assert element_order(column, source_torsion) == order
+                for coords, order in zip(q_columns, beta.source_orders):
+                    assert element_order(coords, source_torsion) == order
                 q = IntMatrix(
                     len(source_torsion),
                     len(lifts),
@@ -1333,7 +1456,7 @@ def test_bockstein_closed_form_matches_cochain_oracle():
                     check_cocycle(x)
                 for _ in range(3):
                     # a random class, plus r times a cochain and an integral coboundary
-                    coboundary = incoming.apply(rng.choices(range(-2, 3), k=incoming.cols))
+                    coboundary = apply(incoming, rng.choices(range(-2, 3), k=incoming.cols))
                     x = [r * rng.randint(-2, 2) + b for b in coboundary]
                     for lift in rng.sample(lifts + oracle_lifts, min(3, len(lifts + oracle_lifts))):
                         scale = rng.randint(-3, 3)
