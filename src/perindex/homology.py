@@ -1,19 +1,20 @@
 """Exact cellular cohomology over Z and Z/r via Smith normal form.
 
 Everything here is exact arbitrary-precision integer linear algebra:
-matrices are rows of Python ints.  A Smith decomposition U A V = D keeps
-its diagonal and the log of the elementary row and column operations that
-reduced A to D, and is certified by replaying that log on a fresh copy of A:
-every logged operation is an elementary integer matrix of determinant +-1,
-so a replay that ends exactly at D proves U A V = D with U and V unimodular.
-The witnesses U, V and their inverses are never stored: the log, replayed
-on the rows of a matrix, multiplies it by any of them.  Products skip zero
-entries and treat +-1 as addition and subtraction, which suits the sparse
-0/+-1 boundary matrices of cell complexes.  Cohomology groups, and the
-connecting map of the coefficient sequence Z -> Z -> Z/r written in
-Smith-adapted bases, follow from the invariant factors of the boundary maps
-by the universal coefficient theorem; each distinct connected block of a
-boundary is reduced once per complex, and no witness is applied.
+matrices are rows of Python ints.  A Smith decomposition U A V = D keeps its
+diagonal and the log of the elementary row and column operations that
+reduced A to D.  One interpreter, _replay, applies logged operations to
+rows, with arithmetic apart from the elimination's.  Replayed on A, the log
+certifies the decomposition: each logged operation is an elementary integer
+matrix of determinant +-1, so a replay that ends exactly at D proves
+U A V = D with U and V unimodular.  Replayed on the rows of a matrix, it
+multiplies them by U, V or their inverses, which are never stored.  Matrix
+products skip zero entries and treat +-1 as addition and subtraction, which
+suits the sparse 0/+-1 boundary matrices of cell complexes.  Cohomology
+groups, and the connecting map of the coefficient sequence Z -> Z -> Z/r
+written in Smith-adapted bases, follow from the invariant factors of the
+boundary maps by the universal coefficient theorem; each distinct connected
+block of a boundary is reduced once per complex, and no witness is applied.
 Witnesses are applied only where classes must be named, to the few vectors
 that name them: by cohomology_generators_Z to the generating cochains, and
 by bockstein_of_cocycle to one cocycle.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import compress
-from operator import add, sub
+from operator import add, not_, sub
 
 from .stable_tables import FinAbGroup, _read_json
 
@@ -212,6 +213,22 @@ class IntMatrix:
 _ROW_SWAP, _COL_SWAP, _ROW_NEG, _ROW_ADD, _COL_ADD = _KINDS = range(5)
 
 
+def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
+    """The rows after the logged operations ops, (kind, i, t, q) each, in
+    order: a swap of rows or columns swaps rows i and t, a negation negates
+    row i, an addition adds sign * q * row t to row i; the input is unchanged."""
+    rows = list(rows)
+    for kind, i, t, q in ops:
+        if kind == _ROW_SWAP or kind == _COL_SWAP:
+            rows[i], rows[t] = rows[t], rows[i]
+        elif kind == _ROW_NEG:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            c = sign * q
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[t])]
+    return rows
+
+
 class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
     """U @ A @ V == D for an m x n matrix A, with U, V unimodular and D the
     m x n matrix with diag on its diagonal: nonnegative, zeros trailing, and
@@ -240,32 +257,23 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
 
     def _act(self, which: str, rows: list[list[int]]) -> list[list[int]]:
         """The rows of W @ M, for the witness W named by which ("U", "u_inv",
-        "V" or "v_inv") and M given by its rows, by replaying the log on them.
+        "V" or "v_inv") and M given by its rows, by _replay on them.
 
-        U applies the row operations in log order, and u_inv their inverses
-        in reverse order.  Column i += q * column t multiplies on the right
-        by I + q e_t e_i^T, which acts on the rows of M as row t += q * row i:
-        V applies that in reverse log order, and v_inv its inverse in log
-        order.  Every step is a swap, a negation or one whole-row _axpy, and
-        the rows passed in are not modified.
+        U is the row operations in log order, and u_inv their inverses, of
+        sign -1, in reverse order.  Column i += q * column t multiplies on
+        the right by I + q e_t e_i^T, which acts on the rows of M as
+        row t += q * row i, so the column operations are replayed with i and
+        t exchanged: in reverse log order for V, and with sign -1 in log
+        order for v_inv.  A swap and a negation are their own inverses.
         """
-        by_rows = which in ("U", "u_inv")
-        sign = 1 if which in ("U", "V") else -1
-        swap, add = (_ROW_SWAP, _ROW_ADD) if by_rows else (_COL_SWAP, _COL_ADD)
-        ops = list(zip(*[iter(self.log)] * 4))
+        ops = zip(*[iter(self.log)] * 4)
+        if which in ("U", "u_inv"):
+            ops = [op for op in ops if op[0] in (_ROW_SWAP, _ROW_NEG, _ROW_ADD)]
+        else:
+            ops = [(kind, t, i, q) for kind, i, t, q in ops if kind in (_COL_SWAP, _COL_ADD)]
         if which in ("u_inv", "V"):
             ops.reverse()
-        rows = list(rows)
-        for kind, i, t, q in ops:
-            if kind == swap:
-                rows[i], rows[t] = rows[t], rows[i]
-            elif kind == add and by_rows:
-                rows[i] = _axpy(rows[i], rows[t], sign * q)
-            elif kind == add:
-                rows[t] = _axpy(rows[t], rows[i], sign * q)
-            elif kind == _ROW_NEG and by_rows:
-                rows[i] = [-x for x in rows[i]]
-        return rows
+        return _replay(rows, ops, 1 if which in ("U", "V") else -1)
 
     def _witness(self, which: str) -> IntMatrix:
         n = self.shape[0 if which in ("U", "u_inv") else 1]
@@ -293,10 +301,11 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
 
         The shapes, including the length of the diagonal, and its form
         (nonnegative, zeros trailing, the divisibility chain) are read off
-        directly.  Then the log is replayed on a fresh copy of A.  Every
-        entry must be an integer and every operation one of the five kinds,
-        on rows (or columns) in range, with i != t for an addition; the
-        result must be exactly D.
+        directly, and so is the log's: integer entries, and operations of
+        the five kinds on rows (or columns) in range, with i != t for an
+        addition.  Then _replay applies the row operations to the rows of A
+        and the column operations to the rows of (U A)^T; the two kinds
+        commute, so transposed back that is U A V, which must be exactly D.
 
         This proves U @ A @ V == D with U and V unimodular.  Each operation
         multiplies by an elementary integer matrix: a swap and a negation
@@ -307,7 +316,7 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
         column operations, are therefore integer matrices of determinant
         +-1, whose inverses are integer matrices too: the same fact that
         V v_inv == I, U u_inv == I and U A == D v_inv establish for explicit
-        witnesses, here without forming any.  The replay's additions are
+        witnesses, here without forming any.  _replay's additions are
         written apart from the elimination's (_axpy), a row operation acts on
         the whole row and a column operation on the whole column, so neither
         the elimination's arithmetic nor its reliance on rows that are zero
@@ -326,11 +335,9 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
         log = self.log
-        if len(log) % 4 or any(type(x) is not int for x in log):
+        if len(log) % 4 or set(map(type, log)) - {int}:
             raise RuntimeError("Smith decomposition failed: log is not integer quadruples")
-        s = [row[:] for row in a.data]
-        ops = iter(log)
-        for k, (kind, i, t, q) in enumerate(zip(ops, ops, ops, ops)):
+        for k, (kind, i, t, _) in enumerate(zip(*[iter(log)] * 4)):
             if kind not in _KINDS:
                 raise RuntimeError(f"Smith decomposition failed: operation {k} has no kind {kind}")
             size = n if kind in (_COL_SWAP, _COL_ADD) else m
@@ -338,23 +345,16 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
                 raise RuntimeError(
                     f"Smith decomposition failed: operation {k} has an index out of range"
                 )
-            if kind == _ROW_SWAP:
-                s[i], s[t] = s[t], s[i]
-            elif kind == _COL_SWAP:
-                for row in s:
-                    row[i], row[t] = row[t], row[i]
-            elif kind == _ROW_NEG:
-                s[i] = [-x for x in s[i]]
-            elif i == t:
+            if i == t and kind in (_ROW_ADD, _COL_ADD):
                 raise RuntimeError(
                     f"Smith decomposition failed: operation {k} adds a row or column to itself"
                 )
-            elif kind == _ROW_ADD:
-                s[i] = [x + q * y for x, y in zip(s[i], s[t])]
-            else:
-                for row in s:
-                    if row[t]:
-                        row[i] += q * row[t]
+        on_cols = [kind in (_COL_SWAP, _COL_ADD) for kind in log[::4]]
+        row_ops = compress(zip(*[iter(log)] * 4), map(not_, on_cols))
+        col_ops = compress(zip(*[iter(log)] * 4), on_cols)
+        # (U A)^T, n empty rows if m == 0, then U A V, no rows (no entries) if n == 0
+        s = [list(c) for c in zip(*_replay(a.data, row_ops))] or [[]] * n
+        s = [list(c) for c in zip(*_replay(s, col_ops))]
         for i, row in enumerate(s):
             if i < n and row[i] != diag[i]:
                 raise RuntimeError(
@@ -847,8 +847,8 @@ def chain_complex_from_json(obj) -> ChainComplex:
     boundaries = []
     for k, flat in enumerate(flats, start=1):
         rows, cols = counts[k - 1], counts[k]
-        if not isinstance(flat, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in flat
+        if not isinstance(flat, list) or not all(
+            issubclass(kind, int) and kind is not bool for kind in set(map(type, flat))
         ):
             raise ComplexFormatError(f"boundary {k} must be a flat list of integers")
         if len(flat) != rows * cols:

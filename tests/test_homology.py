@@ -1,5 +1,6 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
+import enum
 import hashlib
 import itertools
 import json
@@ -43,6 +44,7 @@ from brute_force import (
     column,
     connected_blocks,
     diagonal_matrix,
+    elementary_matrix,
     euler_characteristic,
     invariant_form_oracle,
 )
@@ -359,6 +361,129 @@ def test_verify_catches_every_mutation():
     # the diagonal-form mutants replay to their stored diagonals
     for a, d, _ in mutants[-3:]:
         assert d.U @ a @ d.V == diagonal_matrix(*a.shape, d.diag)
+
+
+WITNESSES = ("U", "u_inv", "V", "v_inv")
+
+
+def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkeypatch):
+    # the replay is written apart from _axpy, which the elimination uses: with
+    # _axpy broken, verify, the witnesses and _act give what they gave before
+    rng = random.Random(18)
+    cases = []
+    for _ in range(30):
+        a = random_matrix(rng, max_dim=8)
+        d = smith_normal_form(a)
+        rows = {}
+        for w in WITNESSES:
+            size = a.rows if w in ("U", "u_inv") else a.cols
+            rows[w] = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(size)]
+        witnesses = {w: getattr(d, w) for w in WITNESSES}
+        acted = {w: d._act(w, rows[w]) for w in WITNESSES}
+        cases.append((a, d, rows, witnesses, acted))
+
+    def broken(*args):
+        raise AssertionError("_axpy called")
+
+    monkeypatch.setattr(homology, "_axpy", broken)
+    # the patch is live: the elimination clears 3 under the pivot 2 with _axpy
+    with pytest.raises(AssertionError):
+        smith_normal_form(IntMatrix(2, 1, [[2], [3]]))
+    for a, d, rows, witnesses, acted in cases:
+        d.verify(a)
+        assert {w: getattr(d, w) for w in WITNESSES} == witnesses
+        assert {w: d._act(w, rows[w]) for w in WITNESSES} == acted
+
+
+def _random_ops(rng, m, n, length):
+    """length operations (kind, i, t, q) of any kind that fits an m x n
+    matrix, in any order: swaps may repeat an index, and negations and
+    additions may hit any row or column, finished or not."""
+    kinds = [
+        kind
+        for kind, size in ((ROW_SWAP, m), (COL_SWAP, n), (ROW_NEG, m), (ROW_ADD, m), (COL_ADD, n))
+        if size >= (2 if kind in (ROW_ADD, COL_ADD) else 1)
+    ]
+    ops = []
+    for _ in range(length if kinds else 0):
+        kind = rng.choice(kinds)
+        size = n if kind in (COL_SWAP, COL_ADD) else m
+        i = rng.randrange(size)
+        if kind == ROW_NEG:
+            ops.append((kind, i, i, 0))
+        elif kind in (ROW_SWAP, COL_SWAP):
+            ops.append((kind, i, rng.randrange(size), 0))
+        else:
+            t = rng.choice([x for x in range(size) if x != i])
+            ops.append((kind, i, t, rng.choice([-1, 1]) * rng.randint(1, 5)))
+    return ops
+
+
+def _oracle_witnesses(ops, m, n):
+    """U, u_inv, V and v_inv of a log, as products of its elementary
+    matrices: U = E_k ... E_1 over the row operations, V = F_1 ... F_k over
+    the column operations, and the inverses from the inverse operations,
+    an addition's with its multiplier negated."""
+    u, u_inv, v, v_inv = (IntMatrix.identity(size) for size in (m, m, n, n))
+    for kind, i, t, q in ops:
+        e = elementary_matrix((kind, i, t, q), m, n)
+        inverse = elementary_matrix((kind, i, t, -q), m, n)
+        if kind in (COL_SWAP, COL_ADD):
+            v, v_inv = v @ e, inverse @ v_inv
+        else:
+            u, u_inv = e @ u, u_inv @ inverse
+    return {"U": u, "u_inv": u_inv, "V": v, "v_inv": v_inv}
+
+
+def _occurs_after(kinds, later, earlier):
+    return earlier in kinds and later in kinds[kinds.index(earlier) + 1 :]
+
+
+def test_replay_of_arbitrary_logs_matches_elementary_products():
+    rng = random.Random(2718)
+    unusual_orders = refused = 0
+    for _ in range(200):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        ops = _random_ops(rng, m, n, rng.randint(0, 12))
+        log = [x for op in ops for x in op]
+        kinds = [op[0] for op in ops]
+        # the elimination swaps columns only before it adds them, and
+        # negates a row only while it is the pivot row
+        unusual_orders += _occurs_after(kinds, COL_SWAP, COL_ADD)
+        unusual_orders += _occurs_after(kinds, ROW_NEG, ROW_ADD)
+        oracle = _oracle_witnesses(ops, m, n)
+        assert oracle["U"] @ oracle["u_inv"] == IntMatrix.identity(m)
+        assert oracle["V"] @ oracle["v_inv"] == IntMatrix.identity(n)
+        diag = [0] * min(m, n)
+        d = 1
+        for i in range(rng.randint(0, min(m, n))):
+            diag[i] = d = d * rng.choice([1, 1, 2, 3, 5])
+        decomposition = SmithDecomposition((m, n), tuple(diag), log)
+        # each witness acts on random rows as its brute-force product
+        for which, w in oracle.items():
+            x = IntMatrix(w.cols, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in w.data])
+            assert decomposition._act(which, x.data) == (w @ x).data
+            assert getattr(decomposition, which) == w
+        # A = u_inv D v_inv reduces to D by the log
+        target = diagonal_matrix(m, n, diag)
+        a = oracle["u_inv"] @ target @ oracle["v_inv"]
+        decomposition.verify(a)
+        # one changed multiplier: verify refuses A exactly when U' A V' is not D
+        adds = [k for k, kind in enumerate(kinds) if kind in (ROW_ADD, COL_ADD)]
+        if not adds:
+            continue
+        k = rng.choice(adds)
+        kind, i, t, q = ops[k]
+        changed = ops[:k] + [(kind, i, t, q + rng.choice([-2, -1, 1, 2]))] + ops[k + 1 :]
+        other = _oracle_witnesses(changed, m, n)
+        mutant = SmithDecomposition((m, n), tuple(diag), [x for op in changed for x in op])
+        if other["U"] @ a @ other["V"] == target:
+            mutant.verify(a)
+        else:
+            refused += 1
+            with pytest.raises(RuntimeError, match="replay"):
+                mutant.verify(a)
+    assert unusual_orders and refused
 
 
 def test_snf_pivots_on_negative_rounded_residues():
@@ -1571,6 +1696,22 @@ def test_loader_rejects_malformed_documents():
     with pytest.raises(ComplexFormatError) as err:
         chain_complex_from_json(bad)
     assert "k=1, row=0, col=0" in str(err.value)
+
+
+def test_loader_refuses_entries_that_are_not_integers():
+    good = chain_complex_to_json(bzr_skeleton_complex(2, 3))
+    assert good["boundaries"] == [[0], [2], [0]]
+    for entry in (1.5, 2.0, True, False, "1", None):
+        bad = dict(good, boundaries=[[0], [entry], [0]])
+        with pytest.raises(ComplexFormatError) as err:
+            chain_complex_from_json(bad)
+        assert str(err.value) == "boundary 2 must be a flat list of integers"
+    # an int subclass other than bool is an integer
+    two = enum.IntEnum("Two", {"TWO": 2}).TWO
+    c = chain_complex_from_json(dict(good, boundaries=[[0], [two], [0]]))
+    assert [cohomology_Z(c, k) for k in range(4)] == [
+        cohomology_Z(bzr_skeleton_complex(2, 3), k) for k in range(4)
+    ]
 
 
 def test_load_chain_complex_from_file(tmp_path):
