@@ -2,22 +2,23 @@
 
 Everything here is exact arbitrary-precision integer linear algebra:
 matrices are rows of Python ints.  A Smith decomposition U A V = D keeps its
-diagonal and the log of the elementary row and column operations that
-reduced A to D.  One interpreter, _replay, applies logged operations to
-rows, with arithmetic apart from the elimination's.  Replayed on A, the log
-certifies the decomposition: each logged operation is an elementary integer
-matrix of determinant +-1, so a replay that ends exactly at D proves
-U A V = D with U and V unimodular.  Replayed on the rows of a matrix, it
-multiplies them by U, V or their inverses, which are never stored.  Matrix
-products skip zero entries and treat +-1 as addition and subtraction, which
-suits the sparse 0/+-1 boundary matrices of cell complexes.  Cohomology
-groups, and the connecting map of the coefficient sequence Z -> Z -> Z/r
-written in Smith-adapted bases, follow from the invariant factors of the
-boundary maps by the universal coefficient theorem; each distinct connected
-block of a boundary is reduced once per complex, and no witness is applied.
-Witnesses are applied only where classes must be named, to the few vectors
-that name them: by cohomology_generators_Z to the generating cochains, and
-by bockstein_of_cocycle to one cocycle.
+diagonal and a log each of the elementary row and column operations that
+reduced A to D.  One interpreter, _replay, reads the logs: it checks each
+operation as it applies it to rows, with arithmetic apart from the
+elimination's.  Replayed on A, the logs certify the decomposition: each
+operation is an elementary integer matrix of determinant +-1, so a replay
+that ends exactly at D proves U A V = D with U and V unimodular.  Replayed
+on the rows of a matrix, a log multiplies them by U, V or their inverses,
+which are never stored.  Matrix products skip zero entries and treat +-1
+as addition and subtraction, which suits the sparse 0/+-1 boundary matrices
+of cell complexes.  Cohomology groups, and the connecting map of the
+coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, follow
+from the invariant factors of the boundary maps by the universal
+coefficient theorem; each distinct connected block of a boundary is reduced
+once per complex, and no witness is applied.  Witnesses are applied only
+where classes must be named, to the few vectors that name them: by
+cohomology_generators_Z to the generating cochains, and by
+bockstein_of_cocycle to one cocycle.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
 degree k+1.  Smith-adapted bases come from a decomposition
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress
-from operator import add, not_, sub
+from itertools import compress, count, repeat
+from operator import add, sub
 
 from .stable_tables import FinAbGroup, _read_json
 
@@ -209,41 +210,56 @@ class IntMatrix:
         return f"IntMatrix({self.rows}, {self.cols}, {self.data!r})"
 
 
-# The kinds of elementary operation in the log of a Smith decomposition.
-_ROW_SWAP, _COL_SWAP, _ROW_NEG, _ROW_ADD, _COL_ADD = _KINDS = range(5)
+# The kinds of elementary operation in the logs of a Smith decomposition.
+_SWAP, _NEG, _ADD = _KINDS = range(3)
+
+
+def _operations(side: str, log: list[int]):
+    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a flat log."""
+    return zip(repeat(side), count(), *[iter(log)] * 4)
 
 
 def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
-    """The rows after the logged operations ops, (kind, i, t, q) each, in
-    order: a swap of rows or columns swaps rows i and t, a negation negates
-    row i, an addition adds sign * q * row t to row i; the input is unchanged."""
+    """The rows after the operations ops, (side, k, kind, i, t, q) each for
+    operation k of the side's log, in order; the input is unchanged.  A swap
+    swaps rows i and t, a negation negates row i, an addition adds
+    sign * q * row t to row i.  The one reader of the log format, it raises
+    RuntimeError naming side and k on an unknown kind, on i or t outside
+    range(len(rows)), and on a row added to itself (scaled by 1 + q)."""
     rows = list(rows)
-    for kind, i, t, q in ops:
-        if kind == _ROW_SWAP or kind == _COL_SWAP:
-            rows[i], rows[t] = rows[t], rows[i]
-        elif kind == _ROW_NEG:
-            rows[i] = [-x for x in rows[i]]
-        else:
+    size = len(rows)
+    for side, k, kind, i, t, q in ops:
+        problem = (
+            f"has no kind {kind}" if kind not in _KINDS
+            else "has an index out of range" if not (0 <= i < size and 0 <= t < size)
+            else f"adds a {side} to itself" if kind == _ADD and i == t else None
+        )
+        if problem:
+            raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
+        if kind == _ADD:
             c = sign * q
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[t])]
+        elif kind == _SWAP:
+            rows[i], rows[t] = rows[t], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
     return rows
 
 
-class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
+class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log col_log")):
     """U @ A @ V == D for an m x n matrix A, with U, V unimodular and D the
     m x n matrix with diag on its diagonal: nonnegative, zeros trailing, and
     d_1 | d_2 | ....
 
     Stored are the shape (m, n), the diagonal, min(m, n) entries long, and
-    the log of the elementary operations that reduced A to D, flat: four
-    integers (kind, i, t, q) per operation.  The kinds are a swap of rows or
-    of columns i and t, the negation of row i (t = i), and row (or column)
-    i += q * row (or column) t with i != t.  The rank is the number of
-    nonzero diagonal entries.  The witnesses U, V and their inverses u_inv
-    and v_inv are not stored: _act applies one of them to the rows of a
-    matrix by replaying the log, U and u_inv from the row operations, V and
-    v_inv from the column operations, and each witness property builds its
-    matrix that way from an identity, anew on every read.
+    the elementary operations that reduced A to D, in order, in two flat
+    logs of four integers (kind, i, t, q) each: row_log of the row and
+    col_log of the column operations.  The kinds are a swap of i and t, the
+    negation of i (t = i), and i += q * t with i != t.  The rank is the
+    number of nonzero diagonal entries.  The witnesses U, V, u_inv and v_inv
+    are not stored: _act applies one to the rows of a matrix by replaying a
+    log, the row log for U and u_inv, the column log for V and v_inv, and
+    each witness property builds its matrix that way, anew on every read.
     """
 
     __slots__ = ()
@@ -259,18 +275,17 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
         """The rows of W @ M, for the witness W named by which ("U", "u_inv",
         "V" or "v_inv") and M given by its rows, by _replay on them.
 
-        U is the row operations in log order, and u_inv their inverses, of
-        sign -1, in reverse order.  Column i += q * column t multiplies on
-        the right by I + q e_t e_i^T, which acts on the rows of M as
-        row t += q * row i, so the column operations are replayed with i and
-        t exchanged: in reverse log order for V, and with sign -1 in log
-        order for v_inv.  A swap and a negation are their own inverses.
+        U replays the row log in order, u_inv its inverse, of sign -1, in
+        reverse.  Column i += q * column t is a right factor I + q e_t e_i^T,
+        which acts on the rows of M as row t += q * row i, so the column log
+        is replayed with i and t exchanged: reversed for V, and with sign -1
+        in order for v_inv.  Swaps and negations are their own inverses.
         """
-        ops = zip(*[iter(self.log)] * 4)
         if which in ("U", "u_inv"):
-            ops = [op for op in ops if op[0] in (_ROW_SWAP, _ROW_NEG, _ROW_ADD)]
+            ops = list(_operations("row", self.row_log))
         else:
-            ops = [(kind, t, i, q) for kind, i, t, q in ops if kind in (_COL_SWAP, _COL_ADD)]
+            ops = _operations("column", self.col_log)
+            ops = [(side, k, kind, t, i, q) for side, k, kind, i, t, q in ops]
         if which in ("u_inv", "V"):
             ops.reverse()
         return _replay(rows, ops, 1 if which in ("U", "V") else -1)
@@ -297,31 +312,26 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
 
     def verify(self, a: IntMatrix) -> None:
         """Re-check the decomposition against the source matrix by replaying
-        its log; raises RuntimeError on failure.
+        its logs; raises RuntimeError on failure.
 
         The shapes, including the length of the diagonal, and its form
         (nonnegative, zeros trailing, the divisibility chain) are read off
-        directly, and so is the log's: integer entries, and operations of
-        the five kinds on rows (or columns) in range, with i != t for an
-        addition.  Then _replay applies the row operations to the rows of A
-        and the column operations to the rows of (U A)^T; the two kinds
-        commute, so transposed back that is U A V, which must be exactly D.
+        directly, and each log must be integer quadruples.  Then _replay,
+        checking each operation, applies the row log to the rows of A and
+        the column log to the rows of (U A)^T; the two sides commute, so
+        transposed back that is U A V, which must be exactly D.
 
         This proves U @ A @ V == D with U and V unimodular.  Each operation
         multiplies by an elementary integer matrix: a swap and a negation
         have determinant -1, and row (or column) i += q * row (or column) t
-        with i != t and q an integer is unitriangular, of determinant 1.
-        (With i == t it would scale by 1 + q, hence the self-add check.)  U,
-        the product of the row operations in log order, and V, that of the
-        column operations, are therefore integer matrices of determinant
-        +-1, whose inverses are integer matrices too: the same fact that
-        V v_inv == I, U u_inv == I and U A == D v_inv establish for explicit
-        witnesses, here without forming any.  _replay's additions are
-        written apart from the elimination's (_axpy), a row operation acts on
-        the whole row and a column operation on the whole column, so neither
-        the elimination's arithmetic nor its reliance on rows that are zero
-        left of the pivot column (it adds only their live suffixes) or on a
-        pivot column that is zero off the pivot is trusted.
+        with i != t and q an integer is unitriangular, of determinant 1, so
+        U and V, the products of the row and of the column log, are integer
+        matrices of determinant +-1, with integer inverses.  _replay's
+        additions are written apart from the elimination's (_axpy) and act
+        on whole rows and columns, so neither the elimination's arithmetic
+        nor its reliance on rows that are zero left of the pivot column (it
+        adds only their live suffixes) or on a pivot column that is zero off
+        the pivot is trusted.
         """
         m, n = self.shape
         diag = self.diag
@@ -334,27 +344,14 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag log")):
                 raise RuntimeError("Smith decomposition failed: zeros must trail")
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
-        log = self.log
-        if len(log) % 4 or set(map(type, log)) - {int}:
-            raise RuntimeError("Smith decomposition failed: log is not integer quadruples")
-        for k, (kind, i, t, _) in enumerate(zip(*[iter(log)] * 4)):
-            if kind not in _KINDS:
-                raise RuntimeError(f"Smith decomposition failed: operation {k} has no kind {kind}")
-            size = n if kind in (_COL_SWAP, _COL_ADD) else m
-            if not (0 <= i < size and 0 <= t < size):
+        for side, log in (("row", self.row_log), ("column", self.col_log)):
+            if len(log) % 4 or set(map(type, log)) - {int}:
                 raise RuntimeError(
-                    f"Smith decomposition failed: operation {k} has an index out of range"
+                    f"Smith decomposition failed: {side} log is not integer quadruples"
                 )
-            if i == t and kind in (_ROW_ADD, _COL_ADD):
-                raise RuntimeError(
-                    f"Smith decomposition failed: operation {k} adds a row or column to itself"
-                )
-        on_cols = [kind in (_COL_SWAP, _COL_ADD) for kind in log[::4]]
-        row_ops = compress(zip(*[iter(log)] * 4), map(not_, on_cols))
-        col_ops = compress(zip(*[iter(log)] * 4), on_cols)
         # (U A)^T, n empty rows if m == 0, then U A V, no rows (no entries) if n == 0
-        s = [list(c) for c in zip(*_replay(a.data, row_ops))] or [[]] * n
-        s = [list(c) for c in zip(*_replay(s, col_ops))]
+        s = [list(c) for c in zip(*_replay(a.data, _operations("row", self.row_log)))] or [[]] * n
+        s = [list(c) for c in zip(*_replay(s, _operations("column", self.col_log)))]
         for i, row in enumerate(s):
             if i < n and row[i] != diag[i]:
                 raise RuntimeError(
@@ -388,18 +385,19 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     arbitrary-precision, so coefficient growth only ever costs time, never
     correctness.
 
-    Only the working matrix is updated; each operation is appended to the
-    log instead of being applied to witnesses.  Rows t and below are zero
-    left of column t, so a row addition updates only their live suffix from
-    column t on, and a column operation changes only the pivot row, because
-    the pivot column is zero off the pivot by then.  The diagonal is read
-    off the reduced working matrix, and the result is checked exactly by
-    SmithDecomposition.verify, which replays the log on A with whole rows
-    and columns, before it is returned.
+    Only the working matrix is updated; each operation is appended to its
+    side's log instead of being applied to witnesses.  Rows t and below are
+    zero left of column t, so a row addition updates only their live suffix
+    from column t on, and a column operation changes only the pivot row,
+    because the pivot column is zero off the pivot by then.  The diagonal is
+    read off the reduced working matrix, and the result is checked exactly
+    by SmithDecomposition.verify, which replays the logs on A with whole
+    rows and columns, before it is returned.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
-    log: list[int] = []
+    row_log: list[int] = []
+    col_log: list[int] = []
 
     t = 0
     while t < m and t < n:
@@ -415,16 +413,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         pj = next(j for j in range(t, n) if abs(s[pi][j]) == best)
         if pi != t:
             s[t], s[pi] = s[pi], s[t]
-            log += (_ROW_SWAP, t, pi, 0)
+            row_log += (_SWAP, t, pi, 0)
         if pj != t:
             for row in s:
                 row[t], row[pj] = row[pj], row[t]
-            log += (_COL_SWAP, t, pj, 0)
+            col_log += (_SWAP, t, pj, 0)
         while True:
             # clear column t below the pivot, or find the least residue there
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                log += (_ROW_NEG, t, t, 0)
+                row_log += (_NEG, t, t, 0)
             pivot = s[t][t]
             live = s[t][t:]
             best = 0
@@ -434,14 +432,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     q = (2 * x + pivot) // (2 * pivot)
                     if q:
                         s[i][t:] = _axpy(s[i][t:], live, -q)
-                        log += (_ROW_ADD, i, t, -q)
+                        row_log += (_ADD, i, t, -q)
                         x = s[i][t]
                     if x and (not best or abs(x) < best):
                         best, pi = abs(x), i
             if not best:
                 break
             s[t], s[pi] = s[pi], s[t]
-            log += (_ROW_SWAP, t, pi, 0)
+            row_log += (_SWAP, t, pi, 0)
         pivot_row = s[t]
         for j in range(t + 1, n):
             if pivot_row[j]:
@@ -449,7 +447,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 if q:
                     # column j -= q * column t, which is zero off row t
                     pivot_row[j] -= q * pivot
-                    log += (_COL_ADD, j, t, -q)
+                    col_log += (_ADD, j, t, -q)
         if any(pivot_row[t + 1 :]):
             continue
         if pivot != 1:
@@ -458,11 +456,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             )
             if offender is not None:
                 s[t][t:] = _axpy(s[t][t:], s[offender][t:], 1)
-                log += (_ROW_ADD, t, offender, 1)
+                row_log += (_ADD, t, offender, 1)
                 continue
         t += 1
 
-    decomposition = SmithDecomposition((m, n), tuple(s[i][i] for i in range(min(m, n))), log)
+    diag = tuple(s[i][i] for i in range(min(m, n)))
+    decomposition = SmithDecomposition((m, n), diag, row_log, col_log)
     decomposition.verify(a)
     return decomposition
 

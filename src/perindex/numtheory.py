@@ -9,9 +9,10 @@ arithmetic is arbitrary-precision; there is no overflow regime.
 
 Primality is deterministic Miller-Rabin, exact below about 3.3 * 10**24, and
 factorization splits cofactors with Pollard-Brent rho under an iteration
-budget that shrinks with the cofactor's size, so refusing one takes about
-the same time at any size.  Both refuse with ValueError what they cannot
-settle exactly; neither returns a probable answer.
+budget that shrinks with the cofactor's size, so rho gives up in about the
+same time at any size, but the primality test run first on each cofactor
+costs more the larger it is: seconds at 14,000 bits.  Both refuse with
+ValueError what they cannot settle exactly; neither returns a probable answer.
 """
 
 from __future__ import annotations

@@ -128,24 +128,24 @@ def connected_blocks(a: IntMatrix) -> list[IntMatrix]:
 
 
 # The kinds of logged operation of a Smith decomposition, in their order.
-ROW_SWAP, COL_SWAP, ROW_NEG, ROW_ADD, COL_ADD = range(5)
+SWAP, NEG, ADD = range(3)
 
 
-def elementary_matrix(op, rows: int, cols: int) -> IntMatrix:
-    """The elementary matrix of one logged operation (kind, i, t, q) on a
-    rows x cols matrix, entry by entry: a row operation multiplies on the
-    left by a rows x rows matrix, a column operation on the right by a
-    cols x cols one.  Row i += q * row t is I + q e_i e_t^T, and column
-    i += q * column t is I + q e_t e_i^T."""
+def elementary_matrix(side: str, op, size: int) -> IntMatrix:
+    """The size x size elementary matrix of one operation (kind, i, t, q)
+    of a row log (side "row") or a column log (side "column"), entry by
+    entry: a row operation multiplies on the left, a column operation on
+    the right.  A swap exchanges i and t, a negation negates i, row
+    i += q * row t is I + q e_i e_t^T, and column i += q * column t is
+    I + q e_t e_i^T."""
     kind, i, t, q = op
-    size = cols if kind in (COL_SWAP, COL_ADD) else rows
     e = [[int(r == c) for c in range(size)] for r in range(size)]
-    if kind in (ROW_SWAP, COL_SWAP):
+    if kind == SWAP:
         e[i][i] = e[t][t] = 0
         e[i][t] = e[t][i] = 1
-    elif kind == ROW_NEG:
+    elif kind == NEG:
         e[i][i] = -1
-    elif kind == ROW_ADD:
+    elif side == "row":
         e[i][t] += q
     else:
         e[t][i] += q

@@ -1,5 +1,6 @@
 """Tests for exact matrices, Smith normal form, cohomology, and the Bockstein."""
 
+import collections
 import enum
 import hashlib
 import itertools
@@ -40,6 +41,9 @@ from perindex.homology import (
 from perindex.numtheory import factorize
 
 from brute_force import (
+    ADD,
+    NEG,
+    SWAP,
     apply,
     column,
     connected_blocks,
@@ -214,19 +218,15 @@ def test_snf_roundtrip_property(rows, cols, data):
     assert d.rank == sum(1 for x in d.diagonal() if x)
 
 
-ROW_SWAP, COL_SWAP, ROW_NEG, ROW_ADD, COL_ADD = range(5)
-
-
 def _with_op(log, index, op):
-    """The log with operation ``index`` replaced by ``op``, four integers."""
+    """The flat log with operation ``index`` replaced by ``op``, four integers."""
     log = list(log)
     log[4 * index : 4 * index + 4] = op
     return log
 
 
-def _ops(decomposition):
-    """The log of a decomposition as (kind, i, t, q) tuples."""
-    log = decomposition.log
+def _ops(log):
+    """A flat log as (kind, i, t, q) tuples."""
     return [tuple(log[k : k + 4]) for k in range(0, len(log), 4)]
 
 
@@ -234,102 +234,100 @@ def _log_mutants():
     """(matrix, decomposition, message) triples for SmithDecomposition.verify.
 
     Each of the first six corrupts a valid decomposition once, five in its
-    log and one in its diagonal, and must fail the replay with its own
-    message.  The last four, on the diagonal's form, carry a log whose
-    replay ends at the stored diagonal, so the form check alone must catch
-    them.
+    row log and one in its diagonal, and must fail the replay with its own
+    message.  The next five break the form of a log, two of them in the
+    quadruples verify checks itself, then come two of the wrong shape.  The
+    last three, on the diagonal's form, carry logs whose replay ends at the
+    stored diagonal, so the form check alone must catch them.
     """
     a = IntMatrix(3, 4, [[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]])
     good = smith_normal_form(a)
     assert good.diagonal() == (1, 2, 0)
-    log = good.log
-    # the ten operations, as (kind, i, t, q)
-    assert _ops(good) == [
-        (ROW_SWAP, 0, 1, 0),
-        (ROW_ADD, 1, 0, -2),
-        (ROW_ADD, 2, 0, -3),
-        (COL_ADD, 1, 0, -3),
-        (COL_ADD, 2, 0, -5),
-        (COL_ADD, 3, 0, -7),
-        (ROW_NEG, 1, 1, 0),
-        (ROW_ADD, 2, 1, 1),
-        (COL_ADD, 2, 1, -2),
-        (COL_ADD, 3, 1, -3),
+    rows, cols = good.row_log, good.col_log
+    # the five row and five column operations, as (kind, i, t, q)
+    assert _ops(rows) == [
+        (SWAP, 0, 1, 0),
+        (ADD, 1, 0, -2),
+        (ADD, 2, 0, -3),
+        (NEG, 1, 1, 0),
+        (ADD, 2, 1, 1),
     ]
+    assert _ops(cols) == [
+        (ADD, 1, 0, -3),
+        (ADD, 2, 0, -5),
+        (ADD, 3, 0, -7),
+        (ADD, 2, 1, -2),
+        (ADD, 3, 1, -3),
+    ]
+
+    def mutant(row_log=rows, col_log=cols, diag=good.diag):
+        return SmithDecomposition(good.shape, diag, row_log, col_log)
+
     mutants = [
         # a dropped operation
-        (
-            a,
-            SmithDecomposition(good.shape, good.diag, log[:4] + log[8:]),
-            "replay leaves -2 at (1, 0), off the diagonal",
-        ),
+        (a, mutant(rows[:4] + rows[8:]), "replay leaves -2 at (1, 0), off the diagonal"),
         # a wrong multiplier
         (
             a,
-            SmithDecomposition(good.shape, good.diag, _with_op(log, 2, (ROW_ADD, 2, 0, -2))),
+            mutant(_with_op(rows, 2, (ADD, 2, 0, -2))),
             "replay leaves 1 at (2, 0), off the diagonal",
         ),
         # a self-add, which would scale row 2 by 2
-        (
-            a,
-            SmithDecomposition(good.shape, good.diag, _with_op(log, 7, (ROW_ADD, 2, 2, 1))),
-            "operation 7 adds a row or column to itself",
-        ),
+        (a, mutant(_with_op(rows, 4, (ADD, 2, 2, 1))), "row operation 4 adds a row to itself"),
         # a row index that would be in range for a column
         (
             a,
-            SmithDecomposition(good.shape, good.diag, _with_op(log, 7, (ROW_ADD, 3, 1, 1))),
-            "operation 7 has an index out of range",
+            mutant(_with_op(rows, 4, (ADD, 3, 1, 1))),
+            "row operation 4 has an index out of range",
         ),
         # a wrong diagonal entry
-        (
-            a,
-            SmithDecomposition(good.shape, (1, 4, 0), log),
-            "replay gives 2 at (1, 1), the diagonal has 4",
-        ),
+        (a, mutant(diag=(1, 4, 0)), "replay gives 2 at (1, 1), the diagonal has 4"),
         # two operations swapped: row 2 += row 1 before row 1 is negated
         (
             a,
-            SmithDecomposition(
-                good.shape, good.diag, log[:24] + log[28:32] + log[24:28] + log[32:]
-            ),
+            mutant(rows[:12] + rows[16:20] + rows[12:16]),
             "replay leaves -4 at (2, 1), off the diagonal",
         ),
-        # the log's own form: an unknown kind, a cut record, a float multiplier
+        # the column log's own form: a self-add, a negative index, which
+        # would name the last column, and kind 3, a column addition in the
+        # older format, which had five kinds
         (
             a,
-            SmithDecomposition(good.shape, good.diag, _with_op(log, 3, (5, 1, 0, -3))),
-            "operation 3 has no kind 5",
+            mutant(col_log=_with_op(cols, 3, (ADD, 2, 2, -2))),
+            "column operation 3 adds a column to itself",
         ),
-        (a, SmithDecomposition(good.shape, good.diag, log[:-1]), "log is not integer quadruples"),
+        (
+            a,
+            mutant(col_log=_with_op(cols, 3, (ADD, 2, -1, -2))),
+            "column operation 3 has an index out of range",
+        ),
+        (a, mutant(col_log=_with_op(cols, 0, (3, 1, 0, -3))), "column operation 0 has no kind 3"),
+        # the quadruples themselves: a cut record, and a float multiplier
+        (a, mutant(col_log=cols[:-1]), "column log is not integer quadruples"),
         # a multiplier of 1/2, with which the replay would reach diag(1) from
         # [[2], [0]], whose Smith form is diag(2)
         (
             IntMatrix(2, 1, [[2], [0]]),
             homology.SmithDecomposition(
-                (2, 1), (1,), [ROW_ADD, 1, 0, 0.5, ROW_ADD, 0, 1, -2, ROW_SWAP, 0, 1, 0]
+                (2, 1), (1,), [ADD, 1, 0, 0.5, ADD, 0, 1, -2, SWAP, 0, 1, 0], []
             ),
-            "log is not integer quadruples",
+            "row log is not integer quadruples",
         ),
         # one diagonal entry short, and a source of another shape
-        (a, SmithDecomposition(good.shape, (1, 2), log), "shapes"),
+        (a, mutant(diag=(1, 2)), "shapes"),
         (IntMatrix(3, 5), good, "shapes"),
-        # -d_2, with row 1 negated at the end of the log
+        # -d_2, with row 1 negated at the end of the row log
+        (a, mutant(rows + [NEG, 1, 1, 0], diag=(1, -2, 0)), "negative diagonal"),
+        # d_2 and d_3 = 0 swapped by a row and a column swap at the end of the logs
         (
             a,
-            SmithDecomposition(good.shape, (1, -2, 0), log + [ROW_NEG, 1, 1, 0]),
-            "negative diagonal",
-        ),
-        # d_2 and d_3 = 0 swapped by a row and a column swap at the end of the log
-        (
-            a,
-            SmithDecomposition(good.shape, (1, 0, 2), log + [ROW_SWAP, 1, 2, 0, COL_SWAP, 1, 2, 0]),
+            mutant(rows + [SWAP, 1, 2, 0], cols + [SWAP, 1, 2, 0], (1, 0, 2)),
             "zeros must trail",
         ),
-        # diag(2, 3) is its own reduction by the empty log, but 2 does not divide 3
+        # diag(2, 3) is its own reduction by the empty logs, but 2 does not divide 3
         (
             IntMatrix(2, 2, [[2, 0], [0, 3]]),
-            homology.SmithDecomposition((2, 2), (2, 3), []),
+            homology.SmithDecomposition((2, 2), (2, 3), [], []),
             "divisibility chain",
         ),
     ]
@@ -342,17 +340,14 @@ def test_verify_catches_every_mutation():
         with pytest.raises(RuntimeError) as err:
             decomposition.verify(a)
         assert str(err.value) == message
-    # the six log mutants are each named by their own message
-    assert len({message for _, _, message in mutants[:6]}) == 6
-    # a row and a column operation commute, so with operations 2 and 3
-    # swapped the log still reduces A to D; a replay that updated only row t
-    # on a column operation would refuse it, since column 0 is not yet zero
-    # off row 0
-    a = mutants[0][0]
-    good = smith_normal_form(a)
-    log = good.log
-    swapped = log[:8] + log[12:16] + log[8:12] + log[16:]
-    SmithDecomposition(good.shape, good.diag, swapped).verify(a)
+    # every mutant but the two of the wrong shape is named by its own message
+    assert len({message for _, _, message in mutants}) == len(mutants) - 1
+    # the elimination adds columns only once the pivot column is zero off
+    # the pivot, but these two column additions each meet a second nonzero
+    # entry in the column they add: a replay that updated only row t on a
+    # column operation would refuse them, a whole-column replay reaches I
+    a = IntMatrix(2, 2, [[1, 1], [1, 2]])
+    SmithDecomposition((2, 2), (1, 1), [], [ADD, 1, 0, -1, ADD, 0, 1, -1]).verify(a)
     # the dropped, wrong and swapped operations are still elementary, so their
     # witnesses are unimodular, but they do not reduce A to D
     for a, d, _ in [mutants[i] for i in (0, 1, 5)]:
@@ -364,6 +359,40 @@ def test_verify_catches_every_mutation():
 
 
 WITNESSES = ("U", "u_inv", "V", "v_inv")
+
+
+def test_witnesses_refuse_malformed_logs():
+    # each witness replays its side's log and refuses, naming the operation
+    # by its place in the log also where it is replayed in reverse, what
+    # verify refuses: a self-addition (with the row log [ADD, 1, 1, 5], U
+    # would scale row 1 by 6), an index out of range, negative or not (-1
+    # would name the last row), and a kind that does not exist
+    good = [SWAP, 0, 1, 0]
+    malformed = [
+        ([ADD, 1, 1, 5], "adds a {side} to itself"),
+        ([SWAP, 0, 2, 0], "has an index out of range"),
+        ([SWAP, 0, -1, 0], "has an index out of range"),
+        ([ADD, 0, -2, 1], "has an index out of range"),
+        ([9, 0, 1, 0], "has no kind 9"),
+    ]
+    for op, problem in malformed:
+        for side, witnesses in (("row", ("U", "u_inv")), ("column", ("V", "v_inv"))):
+            log = good + op
+            d = SmithDecomposition((2, 2), (1, 1), *((log, []) if side == "row" else ([], log)))
+            message = f"Smith decomposition failed: {side} operation 1 {problem.format(side=side)}"
+            for which in witnesses:
+                with pytest.raises(RuntimeError) as err:
+                    getattr(d, which)
+                assert str(err.value) == message
+                with pytest.raises(RuntimeError) as err:
+                    d._act(which, [[1], [2]])
+                assert str(err.value) == message
+            with pytest.raises(RuntimeError) as err:
+                d.verify(IntMatrix(2, 2, [[0, 1], [1, 0]]))
+            assert str(err.value) == message
+            # the other side's witnesses read only their own, empty, log
+            for which in set(WITNESSES) - set(witnesses):
+                assert getattr(d, which) == IntMatrix.identity(2)
 
 
 def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkeypatch):
@@ -395,23 +424,18 @@ def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkey
         assert {w: d._act(w, rows[w]) for w in WITNESSES} == acted
 
 
-def _random_ops(rng, m, n, length):
-    """length operations (kind, i, t, q) of any kind that fits an m x n
-    matrix, in any order: swaps may repeat an index, and negations and
-    additions may hit any row or column, finished or not."""
-    kinds = [
-        kind
-        for kind, size in ((ROW_SWAP, m), (COL_SWAP, n), (ROW_NEG, m), (ROW_ADD, m), (COL_ADD, n))
-        if size >= (2 if kind in (ROW_ADD, COL_ADD) else 1)
-    ]
+def _random_ops(rng, size, length):
+    """length operations (kind, i, t, q) of any kind that fits size rows
+    (or columns), in any order: swaps may repeat an index, and negations
+    and additions may hit any row or column, finished or not."""
+    kinds = [kind for kind, least in ((SWAP, 1), (NEG, 1), (ADD, 2)) if size >= least]
     ops = []
     for _ in range(length if kinds else 0):
         kind = rng.choice(kinds)
-        size = n if kind in (COL_SWAP, COL_ADD) else m
         i = rng.randrange(size)
-        if kind == ROW_NEG:
+        if kind == NEG:
             ops.append((kind, i, i, 0))
-        elif kind in (ROW_SWAP, COL_SWAP):
+        elif kind == SWAP:
             ops.append((kind, i, rng.randrange(size), 0))
         else:
             t = rng.choice([x for x in range(size) if x != i])
@@ -419,19 +443,19 @@ def _random_ops(rng, m, n, length):
     return ops
 
 
-def _oracle_witnesses(ops, m, n):
-    """U, u_inv, V and v_inv of a log, as products of its elementary
-    matrices: U = E_k ... E_1 over the row operations, V = F_1 ... F_k over
-    the column operations, and the inverses from the inverse operations,
-    an addition's with its multiplier negated."""
-    u, u_inv, v, v_inv = (IntMatrix.identity(size) for size in (m, m, n, n))
-    for kind, i, t, q in ops:
-        e = elementary_matrix((kind, i, t, q), m, n)
-        inverse = elementary_matrix((kind, i, t, -q), m, n)
-        if kind in (COL_SWAP, COL_ADD):
-            v, v_inv = v @ e, inverse @ v_inv
-        else:
-            u, u_inv = e @ u, u_inv @ inverse
+def _oracle_witnesses(row_ops, col_ops, m, n):
+    """U, u_inv, V and v_inv of a row log and a column log, as products of
+    their elementary matrices: U = E_k ... E_1 over the row operations,
+    V = F_1 ... F_k over the column operations, and the inverses from the
+    inverse operations, an addition's with its multiplier negated."""
+    u = u_inv = IntMatrix.identity(m)
+    for kind, i, t, q in row_ops:
+        e = elementary_matrix("row", (kind, i, t, q), m)
+        u, u_inv = e @ u, u_inv @ elementary_matrix("row", (kind, i, t, -q), m)
+    v = v_inv = IntMatrix.identity(n)
+    for kind, i, t, q in col_ops:
+        e = elementary_matrix("column", (kind, i, t, q), n)
+        v, v_inv = v @ e, elementary_matrix("column", (kind, i, t, -q), n) @ v_inv
     return {"U": u, "u_inv": u_inv, "V": v, "v_inv": v_inv}
 
 
@@ -439,67 +463,78 @@ def _occurs_after(kinds, later, earlier):
     return earlier in kinds and later in kinds[kinds.index(earlier) + 1 :]
 
 
+def _flat(ops):
+    return [x for op in ops for x in op]
+
+
 def test_replay_of_arbitrary_logs_matches_elementary_products():
     rng = random.Random(2718)
-    unusual_orders = refused = 0
+    unusual_orders = column_negations = refused = 0
     for _ in range(200):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
-        ops = _random_ops(rng, m, n, rng.randint(0, 12))
-        log = [x for op in ops for x in op]
-        kinds = [op[0] for op in ops]
-        # the elimination swaps columns only before it adds them, and
-        # negates a row only while it is the pivot row
-        unusual_orders += _occurs_after(kinds, COL_SWAP, COL_ADD)
-        unusual_orders += _occurs_after(kinds, ROW_NEG, ROW_ADD)
-        oracle = _oracle_witnesses(ops, m, n)
+        ops = {"row": _random_ops(rng, m, rng.randint(0, 8))}
+        ops["column"] = _random_ops(rng, n, rng.randint(0, 8))
+        row_kinds, col_kinds = ([op[0] for op in ops[side]] for side in ("row", "column"))
+        # the elimination swaps columns only before it adds them, negates a
+        # row only while it is the pivot row, and negates no column
+        unusual_orders += _occurs_after(col_kinds, SWAP, ADD)
+        unusual_orders += _occurs_after(row_kinds, NEG, ADD)
+        column_negations += NEG in col_kinds
+        oracle = _oracle_witnesses(ops["row"], ops["column"], m, n)
         assert oracle["U"] @ oracle["u_inv"] == IntMatrix.identity(m)
         assert oracle["V"] @ oracle["v_inv"] == IntMatrix.identity(n)
         diag = [0] * min(m, n)
         d = 1
         for i in range(rng.randint(0, min(m, n))):
             diag[i] = d = d * rng.choice([1, 1, 2, 3, 5])
-        decomposition = SmithDecomposition((m, n), tuple(diag), log)
+        decomposition = SmithDecomposition(
+            (m, n), tuple(diag), _flat(ops["row"]), _flat(ops["column"])
+        )
         # each witness acts on random rows as its brute-force product
         for which, w in oracle.items():
             x = IntMatrix(w.cols, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in w.data])
             assert decomposition._act(which, x.data) == (w @ x).data
             assert getattr(decomposition, which) == w
-        # A = u_inv D v_inv reduces to D by the log
+        # A = u_inv D v_inv reduces to D by the logs
         target = diagonal_matrix(m, n, diag)
         a = oracle["u_inv"] @ target @ oracle["v_inv"]
         decomposition.verify(a)
         # one changed multiplier: verify refuses A exactly when U' A V' is not D
-        adds = [k for k, kind in enumerate(kinds) if kind in (ROW_ADD, COL_ADD)]
+        adds = [(side, k) for side in ops for k, op in enumerate(ops[side]) if op[0] == ADD]
         if not adds:
             continue
-        k = rng.choice(adds)
-        kind, i, t, q = ops[k]
-        changed = ops[:k] + [(kind, i, t, q + rng.choice([-2, -1, 1, 2]))] + ops[k + 1 :]
-        other = _oracle_witnesses(changed, m, n)
-        mutant = SmithDecomposition((m, n), tuple(diag), [x for op in changed for x in op])
+        side, k = rng.choice(adds)
+        changed = {s: list(ops[s]) for s in ops}
+        kind, i, t, q = changed[side][k]
+        changed[side][k] = (kind, i, t, q + rng.choice([-2, -1, 1, 2]))
+        other = _oracle_witnesses(changed["row"], changed["column"], m, n)
+        mutant = SmithDecomposition(
+            (m, n), tuple(diag), _flat(changed["row"]), _flat(changed["column"])
+        )
         if other["U"] @ a @ other["V"] == target:
             mutant.verify(a)
         else:
             refused += 1
             with pytest.raises(RuntimeError, match="replay"):
                 mutant.verify(a)
-    assert unusual_orders and refused
+    assert unusual_orders and column_negations and refused
 
 
 def test_snf_pivots_on_negative_rounded_residues():
     # the nearest quotient leaves a negative residue, which the next round
     # swaps up as the pivot and negates
     cases = [
-        ([[5], [3]], (1,), (ROW_ADD, 1, 0, -2), (ROW_ADD, 1, 0, -3)),  # 5 - 2*3 = -1
-        ([[-6], [4]], (2,), (ROW_ADD, 1, 0, 1), (ROW_ADD, 1, 0, -2)),  # -6 + 4 = -2
+        ([[5], [3]], (1,), (ADD, 1, 0, -2), (ADD, 1, 0, -3)),  # 5 - 2*3 = -1
+        ([[-6], [4]], (2,), (ADD, 1, 0, 1), (ADD, 1, 0, -2)),  # -6 + 4 = -2
     ]
     for rows, diag, first, last in cases:
         a = IntMatrix(2, 1, rows)
         d = smith_normal_form(a)
         d.verify(a)
         assert d.diagonal() == diag
-        swap = (ROW_SWAP, 0, 1, 0)
-        assert _ops(d) == [swap, first, swap, (ROW_NEG, 0, 0, 0), last]
+        swap = (SWAP, 0, 1, 0)
+        assert _ops(d.row_log) == [swap, first, swap, (NEG, 0, 0, 0), last]
+        assert d.col_log == []
     # rank-deficient: rows 0 and 1 are 2 and 3 times (2, 3, 1)
     a = IntMatrix(3, 3, [[4, 6, 2], [6, 9, 3], [2, 8, 10]])
     d = smith_normal_form(a)
@@ -513,7 +548,11 @@ def test_dense_snf_operation_count():
     # every pivot rescanned the whole block and quotients were floored
     rng = random.Random(2026)
     a = IntMatrix(48, 48, [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)])
-    assert len(smith_normal_form(a).log) // 4 == 9156 < 11362
+    d = smith_normal_form(a)
+    # 7,990 row and 1,166 column operations, counted by kind
+    assert collections.Counter(d.row_log[::4]) == {ADD: 7124, SWAP: 570, NEG: 296}
+    assert collections.Counter(d.col_log[::4]) == {ADD: 1121, SWAP: 45}
+    assert len(d.row_log) // 4 + len(d.col_log) // 4 == 9156 < 11362
 
 
 def test_snf_diagonals_match_sympy():

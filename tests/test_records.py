@@ -38,7 +38,9 @@ VALID = {
     },
     OrdersProfile: lambda: {"r": 6, "orders": [6, 3]},
     TwistedShape: lambda: {"d": 1, "r": 3, "h": _groups()},
-    SmithDecomposition: lambda: {"shape": (1, 2), "diag": (2,), "log": [1, 0, 1, 0]},
+    SmithDecomposition: lambda: {
+        "shape": (1, 2), "diag": (2,), "row_log": [], "col_log": [0, 0, 1, 0],
+    },
     CohomologyGroup: lambda: {"degree": 2, "free_rank": 0, "torsion": [3, 9]},
     BocksteinMap: lambda: {
         "degree": 1, "modulus": 3, "source": CohomologyGroup(1, 0, (3,)),
@@ -58,7 +60,7 @@ INVALID = {
     CohomologyGroup: {"degree": -1, "free_rank": 0, "torsion": ()},
 }
 
-# a list log, and IntMatrix defines equality without a hash
+# list logs, and IntMatrix defines equality without a hash
 UNHASHABLE = {SmithDecomposition, BocksteinMap}
 
 
@@ -84,7 +86,7 @@ def test_records_are_immutable_and_compare_by_value(cls):
             hash(record)
     else:
         assert hash(record) == hash(again)
-    if cls is not SmithDecomposition:  # its log stays a list
+    if cls is not SmithDecomposition:  # its logs stay lists
         assert not any(isinstance(value, list) for value in record)
     assert cls(*VALID[cls]().values()) == record
     # the dataclass-style repr
