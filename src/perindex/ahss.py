@@ -26,7 +26,7 @@ from .bounds import (
     upper_bound_product,
 )
 from .homology import ChainComplex, CohomologyGroup, cohomology_Z
-from .stable_tables import ExponentEntry, ExponentTable, _is_int, _read_json, r_primary_exponent
+from .stable_tables import ExponentEntry, ExponentTable, _all_ints, _read_json, r_primary_exponent
 
 __all__ = [
     "TwistedShape",
@@ -83,7 +83,7 @@ def twisted_shape_from_json(obj) -> TwistedShape:
     if not isinstance(obj, dict) or not {"d", "r", "h"} <= set(obj):
         raise ValueError('shape document must be an object with keys "d", "r", "h"')
     d, r, h = obj["d"], obj["r"], obj["h"]
-    if not _is_int(d) or not _is_int(r) or not isinstance(h, list):
+    if not _all_ints((d, r)) or not isinstance(h, list):
         raise ValueError("shape document has wrongly typed fields")
     groups = []
     for k, entry in enumerate(h):
@@ -91,9 +91,9 @@ def twisted_shape_from_json(obj) -> TwistedShape:
             raise ValueError(f"group {k} must be an object")
         free_rank = entry.get("free_rank", 0)
         torsion = entry.get("torsion", [])
-        if not _is_int(free_rank):
+        if not _all_ints((free_rank,)):
             raise ValueError(f"group {k}: free_rank must be an integer")
-        if not isinstance(torsion, list) or not all(_is_int(x) for x in torsion):
+        if not isinstance(torsion, list) or not _all_ints(torsion):
             raise ValueError(f"group {k}: torsion must be a list of integers")
         groups.append(CohomologyGroup(degree=k, free_rank=free_rank, torsion=tuple(torsion)))
     return TwistedShape(d, r, tuple(groups))

@@ -1,11 +1,13 @@
 """Exact cellular cohomology over Z and Z/r via Smith normal form.
 
 Everything here is exact arbitrary-precision integer linear algebra:
-matrices are rows of Python ints.  A Smith decomposition U A V = D keeps its
-diagonal and a log each of the elementary row and column operations that
-reduced A to D.  One interpreter, _replay, reads the logs: it checks each
-operation as it applies it to rows, with arithmetic apart from the
-elimination's.  Replayed on A, the logs certify the decomposition: each
+matrices are rows of Python ints, and the integers of matrices, cochains,
+documents and Smith logs are checked by one rule, stable_tables._all_ints.
+A Smith decomposition U A V = D keeps its diagonal and a log each of the
+elementary row and column operations that reduced A to D.  _operations
+checks that a log is integer quadruples, and one interpreter, _replay,
+checks each operation as it applies it to rows, with arithmetic apart from
+the elimination's.  Replayed on A, the logs certify the decomposition: each
 operation is an elementary integer matrix of determinant +-1, so a replay
 that ends exactly at D proves U A V = D with U and V unimodular.  Replayed
 on the rows of a matrix, a log multiplies them by U, V or their inverses,
@@ -35,7 +37,7 @@ from collections import namedtuple
 from itertools import compress, count, repeat
 from operator import add, sub
 
-from .stable_tables import FinAbGroup, _read_json
+from .stable_tables import FinAbGroup, _all_ints, _read_json
 
 __all__ = [
     "IntMatrix",
@@ -72,11 +74,7 @@ MAX_CELLS = 10**6
 def _check_cell_counts(counts) -> None:
     """Refuse, before anything is allocated, counts that are not a nonempty
     list or tuple of integers >= 0 or whose total exceeds MAX_CELLS."""
-    if (
-        not isinstance(counts, (list, tuple))
-        or not counts
-        or any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts)
-    ):
+    if not (isinstance(counts, (list, tuple)) and counts and _all_ints(counts)) or min(counts) < 0:
         raise ComplexFormatError("cell counts must be a nonempty list of integers >= 0")
     if sum(counts) > MAX_CELLS:
         raise ComplexFormatError(
@@ -104,10 +102,10 @@ def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
 
 
 def _check_integers(values, what: str) -> None:
-    """Refuse any value that is not an int; bools are refused too."""
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"{what} entries must be integers, got {x!r}")
+    """Refuse values that are not all integers, naming the first that is not."""
+    if not _all_ints(values):
+        x = next(x for x in values if not _all_ints((x,)))
+        raise ValueError(f"{what} entries must be integers, got {x!r}")
 
 
 class IntMatrix:
@@ -215,7 +213,10 @@ _SWAP, _NEG, _ADD = _KINDS = range(3)
 
 
 def _operations(side: str, log: list[int]):
-    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a flat log."""
+    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a flat log;
+    RuntimeError naming the side, at once, unless the log is integer quadruples."""
+    if len(log) % 4 or not _all_ints(log):
+        raise RuntimeError(f"Smith decomposition failed: {side} log is not integer quadruples")
     return zip(repeat(side), count(), *[iter(log)] * 4)
 
 
@@ -223,9 +224,9 @@ def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
     """The rows after the operations ops, (side, k, kind, i, t, q) each for
     operation k of the side's log, in order; the input is unchanged.  A swap
     swaps rows i and t, a negation negates row i, an addition adds
-    sign * q * row t to row i.  The one reader of the log format, it raises
-    RuntimeError naming side and k on an unknown kind, on i or t outside
-    range(len(rows)), and on a row added to itself (scaled by 1 + q)."""
+    sign * q * row t to row i.  The one interpreter of the operations, it
+    raises RuntimeError naming side and k on an unknown kind, on i or t
+    outside range(len(rows)), and on a row added to itself (scaled by 1 + q)."""
     rows = list(rows)
     size = len(rows)
     for side, k, kind, i, t, q in ops:
@@ -260,6 +261,7 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
     are not stored: _act applies one to the rows of a matrix by replaying a
     log, the row log for U and u_inv, the column log for V and v_inv, and
     each witness property builds its matrix that way, anew on every read.
+    Like verify, they read a log only through _operations and _replay.
     """
 
     __slots__ = ()
@@ -315,11 +317,11 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         its logs; raises RuntimeError on failure.
 
         The shapes, including the length of the diagonal, and its form
-        (nonnegative, zeros trailing, the divisibility chain) are read off
-        directly, and each log must be integer quadruples.  Then _replay,
-        checking each operation, applies the row log to the rows of A and
-        the column log to the rows of (U A)^T; the two sides commute, so
-        transposed back that is U A V, which must be exactly D.
+        (integers, nonnegative, zeros trailing, the divisibility chain) are
+        read off directly, and _operations checks each log's quadruples.
+        Then _replay, checking each operation, applies the row log to the
+        rows of A and the column log to the rows of (U A)^T; the two sides
+        commute, so transposed back that is U A V, which must be exactly D.
 
         This proves U @ A @ V == D with U and V unimodular.  Each operation
         multiplies by an elementary integer matrix: a swap and a negation
@@ -337,6 +339,8 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         diag = self.diag
         if a.shape != self.shape or len(diag) != min(m, n):
             raise RuntimeError("Smith decomposition failed: shapes")
+        if not _all_ints(diag):
+            raise RuntimeError("Smith decomposition failed: diagonal is not integers")
         for i, d in enumerate(diag):
             if d < 0:
                 raise RuntimeError("Smith decomposition failed: negative diagonal")
@@ -344,14 +348,10 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
                 raise RuntimeError("Smith decomposition failed: zeros must trail")
             if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
                 raise RuntimeError("Smith decomposition failed: divisibility chain")
-        for side, log in (("row", self.row_log), ("column", self.col_log)):
-            if len(log) % 4 or set(map(type, log)) - {int}:
-                raise RuntimeError(
-                    f"Smith decomposition failed: {side} log is not integer quadruples"
-                )
+        row_ops, col_ops = _operations("row", self.row_log), _operations("column", self.col_log)
         # (U A)^T, n empty rows if m == 0, then U A V, no rows (no entries) if n == 0
-        s = [list(c) for c in zip(*_replay(a.data, _operations("row", self.row_log)))] or [[]] * n
-        s = [list(c) for c in zip(*_replay(s, _operations("column", self.col_log)))]
+        s = [list(c) for c in zip(*_replay(a.data, row_ops))] or [[]] * n
+        s = [list(c) for c in zip(*_replay(s, col_ops))]
         for i, row in enumerate(s):
             if i < n and row[i] != diag[i]:
                 raise RuntimeError(
@@ -846,9 +846,7 @@ def chain_complex_from_json(obj) -> ChainComplex:
     boundaries = []
     for k, flat in enumerate(flats, start=1):
         rows, cols = counts[k - 1], counts[k]
-        if not isinstance(flat, list) or not all(
-            issubclass(kind, int) and kind is not bool for kind in set(map(type, flat))
-        ):
+        if not isinstance(flat, list) or not _all_ints(flat):
             raise ComplexFormatError(f"boundary {k} must be a flat list of integers")
         if len(flat) != rows * cols:
             raise ComplexFormatError(

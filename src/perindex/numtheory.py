@@ -198,10 +198,10 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     """(b, k) with b**k == n and k prime, or None when n is no such power.
 
     n has no prime factor up to 41, so a base is at least 43 and only the
-    primes k up to log_43(n) are tried, found by trial division.
+    primes k up to log_43(n) are tried, told apart by is_prime.
     """
     for k in range(2, integer_log(43, n) + 1):
-        if all(k % j for j in range(2, math.isqrt(k) + 1)):
+        if is_prime(k):
             b = _iroot(n, k)
             if b**k == n:
                 return b, k

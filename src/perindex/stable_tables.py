@@ -43,6 +43,8 @@ class FinAbGroup(namedtuple("FinAbGroup", "free_rank invariant_factors")):
 
     def __new__(cls, free_rank: int = 0, invariant_factors: tuple[int, ...] = ()):
         invariant_factors = tuple(invariant_factors)
+        if not _all_ints((free_rank, *invariant_factors)):
+            raise ValueError(f"fields must be integers, got {free_rank!r}, {invariant_factors!r}")
         if free_rank < 0:
             raise ValueError(f"free_rank must be >= 0, got {free_rank}")
         prev = 1
@@ -98,8 +100,8 @@ class ExponentEntry(namedtuple("ExponentEntry", "value provenance")):
             if provenance != PROVENANCE_UNKNOWN:
                 raise ValueError("unknown entries must carry the 'unknown' provenance")
         else:
-            if value < 1:
-                raise ValueError(f"exponent value must be >= 1, got {value}")
+            if not _all_ints((value,)) or value < 1:
+                raise ValueError(f"exponent value must be an integer >= 1, got {value!r}")
             if not provenance or provenance == PROVENANCE_UNKNOWN:
                 raise ValueError("known entries need a justifying provenance tag")
         return tuple.__new__(cls, (value, provenance))
@@ -153,8 +155,11 @@ def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> E
     return UNKNOWN_ENTRY
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _all_ints(values) -> bool:
+    """Whether all values are integers, by one pass over their types: the one
+    rule, an int or an int subclass other than bool (IntEnum, not True)."""
+    kinds = set(map(type, values))
+    return kinds <= {int} or all(issubclass(k, int) and k is not bool for k in kinds)
 
 
 def _read_json(path):
@@ -183,11 +188,11 @@ def exponent_table_from_json(obj) -> ExponentTable:
         if not isinstance(row, dict) or not {"r", "j", "invariant_factors"} <= set(row):
             raise ValueError(f"bad table row: {row!r}")
         r, j, factors = row["r"], row["j"], row["invariant_factors"]
-        if not _is_int(r) or r < 2 or not _is_int(j) or j < 1:
+        if not _all_ints((r, j)) or r < 2 or j < 1:
             raise ValueError(f"bad (r, j) in table row: {row!r}")
         if (r, j) in out:
             raise ValueError(f"table has more than one row for (r={r}, j={j})")
-        if not isinstance(factors, list) or not all(_is_int(x) for x in factors):
+        if not isinstance(factors, list) or not _all_ints(factors):
             raise ValueError(f"invariant_factors must be a list of integers: {row!r}")
         group = FinAbGroup(0, tuple(factors))
         value = exponent(group)

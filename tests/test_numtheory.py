@@ -289,7 +289,9 @@ def test_factorize_certifies_each_prime_once(monkeypatch):
     assert calls == [p]
     calls.clear()
     assert factorize.__wrapped__(2**3 * p * q).pairs == ((2, 3), (p, 1), (q, 1))
-    assert sorted(calls) == [p, q, p * q]
+    # the calls below 43 test the exponents of a perfect power, not cofactors,
+    # which have no prime factor up to 41
+    assert sorted(c for c in calls if c >= 43) == [p, q, p * q]
     # a hand-built factorization is still checked in full
     with pytest.raises(ValueError, match="not prime"):
         Factorization(((p * q, 1),))
