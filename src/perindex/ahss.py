@@ -50,6 +50,8 @@ class TwistedShape(namedtuple("TwistedShape", "d r h")):
 
     def __new__(cls, d: int, r: int, h: tuple[CohomologyGroup, ...]):
         h = tuple(h)
+        if not _all_ints((d, r)):
+            raise ValueError(f"dimension and period must be integers, got {d!r}, {r!r}")
         if d < 0:
             raise ValueError(f"dimension must be >= 0, got {d}")
         if r < 2:

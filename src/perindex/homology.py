@@ -13,11 +13,16 @@ that ends exactly at D proves U A V = D with U and V unimodular.  Replayed
 on the rows of a matrix, a log multiplies them by U, V or their inverses,
 which are never stored.  Matrix products skip zero entries and treat +-1
 as addition and subtraction, which suits the sparse 0/+-1 boundary matrices
-of cell complexes.  Cohomology groups, and the connecting map of the
+of cell complexes.  A complex reads the nonzero columns of each boundary
+row once; the check that boundaries compose to zero accumulates over those
+entries alone, and they cut each boundary into the connected blocks of its
+nonzero pattern.  Cohomology groups, and the connecting map of the
 coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, follow
 from the invariant factors of the boundary maps by the universal
-coefficient theorem; each distinct connected block of a boundary is reduced
-once per complex, and no witness is applied.  Witnesses are applied only
+coefficient theorem: a block with one row or one column has the gcd of its
+entries as its one factor, each distinct larger block is reduced once per
+complex, each integral group is formed once per complex, and no witness is
+applied.  Witnesses are applied only
 where classes must be named, to the few vectors that name them: by
 cohomology_generators_Z to the generating cochains, and by
 bockstein_of_cocycle to one cocycle.
@@ -466,9 +471,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return decomposition
 
 
-def _blocks(a: IntMatrix) -> list[list[list[int]]]:
+def _blocks(a: IntMatrix, supports) -> list[list[list[int]]]:
     """The connected blocks of the nonzero pattern of a, each transposed
-    and given by its rows, in the order of their first rows.
+    and given by its rows, in the order of their first rows; supports[i]
+    holds the columns where row i of a is nonzero, in order.
 
     A row and a column are linked when their entry is nonzero; a block is
     the submatrix on the rows and columns of one connected part, in their
@@ -484,13 +490,13 @@ def _blocks(a: IntMatrix) -> list[list[list[int]]]:
             parent[j] = j = parent[parent[j]]
         return j
 
-    supports = [(row, list(compress(indices, row))) for row in a.data if any(row)]
-    for _, cols in supports:
+    live = [(row, cols) for row, cols in zip(a.data, supports) if cols]
+    for _, cols in live:
         first = root(cols[0])
         for j in cols[1:]:
             parent[root(j)] = first
     rows_of: dict[int, list[list[int]]] = {}
-    for row, cols in supports:
+    for row, cols in live:
         rows_of.setdefault(root(cols[0]), []).append(row)
     # a column that no row meets is its own root, and roots no part
     cols_of: dict[int, list[int]] = {}
@@ -508,7 +514,9 @@ class ChainComplex:
     cell_counts[k] matrix; consecutive boundaries must compose to zero.
     """
 
-    __slots__ = ("name", "cell_counts", "boundaries", "_factors", "_block_factors")
+    __slots__ = (
+        "name", "cell_counts", "boundaries", "_supports", "_factors", "_block_factors", "_groups"
+    )
 
     def __init__(self, cell_counts, boundaries, name: str = ""):
         cell_counts = tuple(cell_counts)
@@ -526,23 +534,33 @@ class ChainComplex:
                     f"boundary {k} has shape {b.shape}, expected "
                     f"({cell_counts[k - 1]}, {cell_counts[k]})"
                 )
+        # the columns where each boundary row is nonzero, read once; an empty
+        # support is the shared empty tuple, so zero rows cost no memory
+        supports = tuple(
+            [tuple(compress(range(b.cols), row)) for row in b.data] for b in boundaries
+        )
         for k in range(1, len(boundaries)):
-            # a zero row of d_k gives a zero row of d_k d_(k+1): multiply the others only
-            left = boundaries[k - 1].data
-            support = [i for i, row in enumerate(left) if any(row)]
-            nonzero_rows = [left[i] for i in support]
-            product = IntMatrix._trusted(len(support), cell_counts[k], nonzero_rows) @ boundaries[k]
-            for i, row in zip(support, product.data):
-                if any(row):
-                    j = next(j for j, x in enumerate(row) if x)
+            # row i of d_k d_(k+1) sums x * (row t of d_(k+1)) over the nonzero
+            # entries x = d_k[i][t], accumulated on the columns those rows meet
+            left, right = boundaries[k - 1].data, boundaries[k].data
+            for i, (row, cols) in enumerate(zip(left, supports[k - 1])):
+                acc: dict[int, int] = {}
+                for t in cols:
+                    x, below = row[t], right[t]
+                    for j in supports[k][t]:
+                        acc[j] = acc.get(j, 0) + x * below[j]
+                offenders = [j for j, y in acc.items() if y]
+                if offenders:
                     raise ComplexFormatError(
-                        f"boundary composition is nonzero at k={k}, row={i}, col={j}"
+                        f"boundary composition is nonzero at k={k}, row={i}, col={min(offenders)}"
                     )
         self.name = name
         self.cell_counts = cell_counts
         self.boundaries = boundaries
+        self._supports = supports
         self._factors: dict[int, tuple[int, ...]] = {}
         self._block_factors: dict[tuple, tuple[int, ...]] = {}
+        self._groups: dict[int, CohomologyGroup] = {}
 
     @property
     def top_dim(self) -> int:
@@ -569,20 +587,27 @@ class ChainComplex:
         The boundary is cut into the connected blocks of its nonzero pattern
         (_blocks): permuting rows and columns makes it block-diagonal, with
         its zero rows and columns apart, so its invariant factors are those
-        of the sum of the blocks' cyclic groups.  Each distinct block is
-        reduced, transposed, once per complex and memoised by its entries;
-        the non-unit factors of all blocks are put in invariant form, after
-        as many 1s as there are unit factors in all.  A dense boundary is a
-        single block, which the merge leaves as it is.  Over all degrees of
-        the product of the 4-skeleta of B Z/6, B Z/4 and B Z/12 that is 12
-        blocks of 30 entries in all, the largest 3 x 3, where the boundaries
+        of the sum of the blocks' cyclic groups.  A block with one row or
+        one column has no zero entry, and its one invariant factor is the
+        gcd of its entries.  Each distinct block with at least 2 rows and 2
+        columns is reduced, transposed, once per complex and memoised by its
+        entries; the non-unit factors of all blocks are put in invariant
+        form, after as many 1s as there are unit factors in all.  A dense
+        boundary is a single block, which the merge leaves as it is.  Over
+        all degrees of the product of the 4-skeleta of B Z/6, B Z/4 and
+        B Z/12 there are 12 distinct blocks of 30 entries in all: 1 block
+        reduced, the 3 x 3 one, the other 11 by gcd, where the boundaries
         cut to their nonzero rows and columns have 1,143 entries.
         """
         if not 1 <= k <= self.top_dim:
             return ()
         if k not in self._factors:
             factors = []
-            for block in _blocks(self.boundary(k)):
+            for block in _blocks(self.boundary(k), self._supports[k - 1]):
+                if len(block) == 1 or len(block[0]) == 1:
+                    # a vector, all of whose entries are nonzero
+                    factors.append(math.gcd(*(x for row in block for x in row)))
+                    continue
                 key = tuple(map(tuple, block))
                 if key not in self._block_factors:
                     a = IntMatrix._trusted(len(block), len(block[0]), block)
@@ -637,16 +662,19 @@ def _invariant_form(orders) -> tuple[int, ...]:
 
 
 def cohomology_Z(c: ChainComplex, k: int) -> CohomologyGroup:
-    """Integral cohomology of the dual cochain complex in degree k.
+    """Integral cohomology of the dual cochain complex in degree k,
+    memoised per complex.
 
     By the universal coefficient theorem the free rank is
     n_k - rank d_k - rank d_(k+1) and the torsion is the non-unit invariant
     factors of the boundary d_k.
     """
     _check_degree(c, k)
-    incoming = c._nonzero_factors(k)
-    free_rank = c.cell_counts[k] - len(incoming) - len(c._nonzero_factors(k + 1))
-    return CohomologyGroup(k, free_rank, tuple(d for d in incoming if d > 1))
+    if k not in c._groups:
+        incoming = c._nonzero_factors(k)
+        free_rank = c.cell_counts[k] - len(incoming) - len(c._nonzero_factors(k + 1))
+        c._groups[k] = CohomologyGroup(k, free_rank, tuple(d for d in incoming if d > 1))
+    return c._groups[k]
 
 
 def cohomology_generators_Z(c: ChainComplex, k: int) -> list[tuple[list[int], int]]:
@@ -688,8 +716,7 @@ def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
     invariant form.
     """
     _check_degree(c, k)
-    if r < 2:
-        raise ValueError(f"modulus must be >= 2, got {r}")
+    _check_modulus(r)
     factors = c._nonzero_factors(k) + c._nonzero_factors(k + 1)
     free_rank = c.cell_counts[k] - len(factors)
     torsion = _invariant_form(g for g in (math.gcd(d, r) for d in factors) if g > 1)
@@ -738,11 +765,17 @@ class BocksteinMap(
         return all(d == 1 for d in smith_normal_form(spanning).diagonal())
 
 
+def _check_modulus(r: int) -> None:
+    if not _all_ints((r,)):
+        raise ValueError(f"modulus must be an integer, got {r!r}")
+    if r < 2:
+        raise ValueError(f"modulus must be >= 2, got {r}")
+
+
 def _check_bockstein_args(c: ChainComplex, k: int, r: int) -> None:
     if not 0 <= k < c.top_dim:
         raise ValueError(f"degree {k} out of range 0..{c.top_dim - 1}")
-    if r < 2:
-        raise ValueError(f"modulus must be >= 2, got {r}")
+    _check_modulus(r)
 
 
 def bockstein_of_cocycle(c: ChainComplex, k: int, r: int, cochain) -> tuple[int, ...]:

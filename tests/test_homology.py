@@ -588,6 +588,49 @@ def test_complex_rejects_nonzero_composition():
     assert "k=1, row=0, col=0" in str(err.value)
 
 
+def first_nonzero_composition(boundaries):
+    """(k, row, col) of the first nonzero entry of a product d_k d_(k+1) of
+    dense matrices, entry by entry: the least k, then row, then column;
+    None when every product is zero.  Also whether, in that row, some
+    entry of the product is zero although a term of its sum is not."""
+    for k, (left, right) in enumerate(zip(boundaries, boundaries[1:]), start=1):
+        for i, row in enumerate(left.data):
+            terms = [[x * right.data[t][j] for t, x in enumerate(row)] for j in range(right.cols)]
+            sums = [sum(ts) for ts in terms]
+            if any(sums):
+                cancelled = any(any(ts) and not s for ts, s in zip(terms, sums))
+                return (k, i, next(j for j, s in enumerate(sums) if s)), cancelled
+    return None, False
+
+
+def test_composition_check_names_the_first_offender():
+    """Rebased product complexes, which compose to zero only by cancellation,
+    with one to three entries changed: the complex is refused exactly when
+    a dense product of consecutive boundaries is nonzero, naming its first
+    nonzero entry."""
+    rng = random.Random(23)
+    factors = [((2, 3), (3, 3)), ((4, 2), (6, 3)), ((2, 2), (3, 2), (2, 2))]
+    seen = collections.Counter()
+    for trial in range(150):
+        dims = factors[trial % len(factors)]
+        c = rebased(tensor_complex(*(bzr_skeleton_complex(r, top) for r, top in dims)), rng)
+        boundaries = [IntMatrix(b.rows, b.cols, b.data) for b in c.boundaries]
+        for _ in range(rng.randint(0, 3)):
+            b = rng.choice([b for b in boundaries if b.rows and b.cols])
+            b.data[rng.randrange(b.rows)][rng.randrange(b.cols)] += rng.choice((-2, -1, 1, 3))
+        expected, cancelled = first_nonzero_composition(boundaries)
+        if expected is None:
+            ChainComplex(c.cell_counts, boundaries)
+            seen["accepted"] += 1
+            continue
+        with pytest.raises(ComplexFormatError) as err:
+            ChainComplex(c.cell_counts, boundaries)
+        k, i, j = expected
+        assert str(err.value) == f"boundary composition is nonzero at k={k}, row={i}, col={j}"
+        seen.update(k=k > 1, row=i > 0, col=j > 0, cancelled=cancelled)
+    assert seen["accepted"] >= 5 and all(seen[key] >= 10 for key in ("k", "row", "col", "cancelled"))
+
+
 def test_complex_rejects_dimension_mismatch():
     with pytest.raises(ComplexFormatError):
         ChainComplex((1, 2), (IntMatrix(1, 1, [[0]]),))
@@ -1126,15 +1169,19 @@ def test_group_work_reduces_each_distinct_block_once(monkeypatch):
     assert c.top_dim == 12
     # a zero boundary has no block and is not reduced
     assert c.boundaries[0].is_zero() and not connected_blocks(c.boundaries[0])
-    # the rest are cut into the blocks of their nonzero pattern, and each
-    # distinct block is reduced once, transposed, in degree order
+    # the rest are cut into the blocks of their nonzero pattern: 12 distinct
+    # blocks of 30 entries in all, the largest 3 x 3
     distinct = []
     for b in c.boundaries:
         distinct += [a for a in connected_blocks(b) if a not in distinct]
-    assert reduced == distinct
-    assert len(reduced) == 12
-    assert sum(a.rows * a.cols for a in reduced) == 30
-    assert max(a.shape for a in reduced) == (3, 3)
+    assert len(distinct) == 12
+    assert sum(a.rows * a.cols for a in distinct) == 30
+    assert max(a.shape for a in distinct) == (3, 3)
+    # a block with one row or one column has the gcd of its entries as its
+    # one factor; each distinct block with 2 rows and 2 columns or more is
+    # reduced once, transposed, in degree order: here the 3 x 3 block alone
+    assert reduced == [a for a in distinct if min(a.shape) >= 2]
+    assert [(a.shape, a.rows * a.cols) for a in reduced] == [((3, 3), 9)]
     # where the boundaries cut to their nonzero rows and columns alone had
     # 11 cores of 1,143 entries, the largest 16 x 18
     cores = [
@@ -1143,7 +1190,7 @@ def test_group_work_reduces_each_distinct_block_once(monkeypatch):
         if not b.is_zero()
     ]
     assert (len(cores), sum(r * s for r, s in cores), max(cores)) == (11, 1143, (16, 18))
-    for a in reduced:
+    for a in distinct:
         assert all(map(any, a.data)) and all(any(column(a, j)) for j in range(a.cols))
 
 
@@ -1251,7 +1298,8 @@ def test_block_factors_match_the_whole_smith_form(monkeypatch):
     """Random connected blocks, some repeated verbatim and some with rows
     negated, placed block-diagonally beside zero rows and columns, then
     permuted: the merged factors are the Smith diagonal of the whole matrix
-    (and sympy's), and each distinct block is reduced once."""
+    (and sympy's), and each distinct block with 2 rows and 2 columns or more
+    is reduced once, and no other."""
     try:
         import sympy
         from sympy.matrices.normalforms import invariant_factors
@@ -1266,7 +1314,7 @@ def test_block_factors_match_the_whole_smith_form(monkeypatch):
 
     monkeypatch.setattr(homology, "smith_normal_form", counting)
     rng = random.Random(17)
-    repeats = negated = 0
+    repeats = negated = matrices = 0
     for case in range(120):
         blocks, count = [], rng.randint(1, 6)
         while len(blocks) < count:
@@ -1314,17 +1362,53 @@ def test_block_factors_match_the_whole_smith_form(monkeypatch):
                 assert factors == tuple(int(x) for x in expected if x)
             distinct = []
             for block in connected_blocks(a):
-                if block not in distinct:
+                if min(block.shape) >= 2 and block not in distinct:
                     distinct.append(block)
             assert sorted(b.data for b in reduced) == sorted(b.data for b in distinct)
             if permute == "riffle":
                 copies = []
                 for data in blocks:
                     transposed = [list(col) for col in zip(*data)]
-                    if transposed not in copies:
+                    if min(len(data), len(data[0])) >= 2 and transposed not in copies:
                         copies.append(transposed)
                 assert sorted(b.data for b in reduced) == sorted(copies)
-    assert repeats > 50 and negated > 20
+                matrices += bool(copies)
+    assert repeats > 50 and negated > 20 and matrices > 40
+
+
+def test_vector_blocks_take_the_gcd_of_their_entries(monkeypatch):
+    """Random one-row and one-column blocks, whose entries share factors,
+    placed block-diagonally beside zero rows and columns, then permuted:
+    their factors, taken by gcd with no Smith form, are the nonzero Smith
+    diagonal of the whole matrix."""
+    real = homology.smith_normal_form
+    reduced = []
+    monkeypatch.setattr(homology, "smith_normal_form", lambda a: reduced.append(a) or real(a))
+    rng = random.Random(31)
+    shapes = collections.Counter()
+    for _ in range(200):
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            scale, length = rng.choice((1, 2, 3, 4, 6, 12)), rng.randint(1, 5)
+            entries = [scale * rng.choice((-1, 1)) * rng.randint(1, 6) for _ in range(length)]
+            row = length > 1 and rng.random() < 0.5
+            blocks.append([entries] if row else [[x] for x in entries])
+            shapes["1 x 1" if length == 1 else "row" if row else "column"] += 1
+        m = sum(map(len, blocks)) + rng.randint(0, 3)
+        n = sum(len(data[0]) for data in blocks) + rng.randint(0, 3)
+        whole = [[0] * n for _ in range(m)]
+        i = j = 0
+        for data in blocks:
+            for row in data:
+                whole[i][j : j + len(row)] = row
+                i += 1
+            j += len(data[0])
+        row_order, col_order = rng.sample(range(m), m), rng.sample(range(n), n)
+        a = IntMatrix(m, n, [[whole[i][j] for j in col_order] for i in row_order])
+        factors = ChainComplex([m, n], [a])._nonzero_factors(1)
+        assert reduced == []
+        assert factors == tuple(d for d in real(a).diagonal() if d)
+    assert min(shapes.values()) > 80, shapes
 
 
 def test_a_permuted_diagonal_boundary_takes_bounded_time():

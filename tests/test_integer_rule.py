@@ -11,15 +11,17 @@ import enum
 import pytest
 
 from brute_force import ADD
-from perindex.ahss import twisted_shape_from_json
+from perindex.ahss import TwistedShape, twisted_shape_from_json
 from perindex.homology import (
     CohomologyGroup,
     ComplexFormatError,
     IntMatrix,
     SmithDecomposition,
+    bockstein,
     bockstein_of_cocycle,
     bzr_skeleton_complex,
     chain_complex_from_json,
+    cohomology_mod,
 )
 from perindex.stable_tables import ExponentEntry, FinAbGroup, exponent_table_from_json
 
@@ -48,6 +50,20 @@ ENTRY_POINTS = {
         lambda v: bockstein_of_cocycle(bzr_skeleton_complex(2, 3), 1, 2, [v]),
         ValueError,
     ),
+    "bockstein_of_cocycle modulus": (
+        lambda v: bockstein_of_cocycle(bzr_skeleton_complex(2, 3), 1, v, [2]),
+        ValueError,
+    ),
+    "bockstein modulus": (lambda v: bockstein(bzr_skeleton_complex(2, 3), 1, v), ValueError),
+    "cohomology_mod modulus": (
+        lambda v: cohomology_mod(bzr_skeleton_complex(2, 3), 1, v),
+        ValueError,
+    ),
+    "TwistedShape dimension": (
+        lambda v: TwistedShape(v, 2, [CohomologyGroup(k, int(k == 0), ()) for k in range(3)]),
+        ValueError,
+    ),
+    "TwistedShape period": (lambda v: TwistedShape(0, v, [CohomologyGroup(0, 1, ())]), ValueError),
     "twisted_shape_from_json": (
         lambda v: twisted_shape_from_json({"d": 0, "r": v, "h": [{"free_rank": 1}]}),
         ValueError,
