@@ -75,9 +75,9 @@ class BoundReport(namedtuple("BoundReport", "bound kind theorem factors assumpti
     """A divisibility statement about the index of a class of period r.
 
     kind="upper" asserts "ind divides bound"; kind="lower" asserts "bound
-    divides ind".  bound is None when some needed exponent is Unknown; the
-    known factors then still give a partial product, reported explicitly
-    rather than silently substituted by 1.
+    divides ind".  If there are factors, bound is None exactly when one is
+    Unknown, and otherwise their product; the known ones then still give a
+    partial product, reported explicitly rather than silently substituted by 1.
     """
 
     __slots__ = ()
@@ -93,11 +93,12 @@ class BoundReport(namedtuple("BoundReport", "bound kind theorem factors assumpti
         self = tuple.__new__(cls, (bound, kind, theorem, tuple(factors), tuple(assumptions)))
         if kind not in (KIND_UPPER, KIND_LOWER):
             raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
-        if bound is not None:
-            if bound < 1:
-                raise ValueError(f"bound must be >= 1, got {bound}")
-            if self.factors and self.partial_product != bound:
-                raise ValueError(f"bound {bound} does not equal the product of its known factors")
+        if bound is not None and bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        if self.factors:
+            expected = None if self.unknown_indices() else self.partial_product
+            if bound != expected:
+                raise ValueError(f"bound {bound} does not match its factors, which give {expected}")
         return self
 
     @property
@@ -161,9 +162,8 @@ def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> B
     assumptions: tuple[str, ...] = ()
     if factors and len(factorize(r).pairs) > 1:
         assumptions = (COMPOSITE_RULE_NOTE,)
-    bound = None
-    if all(e.known for _, e in factors):
-        bound = math.prod(e.value for _, e in factors)
+    known = all(e.known for _, e in factors)
+    bound = math.prod(e.value for _, e in factors) if known else None
     return BoundReport(bound, KIND_UPPER, TAG_PRODUCT, factors, assumptions)
 
 

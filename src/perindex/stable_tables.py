@@ -2,11 +2,11 @@
 stable homotopy of the classifying spaces B Z/r.
 
 The exponents e_j of these groups are the raw material of the main upper
-bound.  Prime powers l**n are answered from the low-degree pattern (cyclic of
-order l**n in odd degrees, trivial in even degrees, valid below degree
-2l - 2); r = 2 additionally ships a table through degree 5.  Everything else
-is Unknown unless the caller supplies literature values through an extension
-table.
+bound.  e_j of B Z/r is the product over the prime-power components q = l**n
+of r, each taken from the low-degree pattern (cyclic of order q in odd
+degrees, trivial in even degrees, valid below degree 2l - 2), else the shipped
+B Z/2 table through degree 5, else the caller's extension table at (q, j).
+Only when a component is unknown is that table read at (r, j); else Unknown.
 """
 
 from __future__ import annotations
@@ -123,36 +123,31 @@ ExponentTable = dict[tuple[int, int], int]
 
 
 def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> ExponentEntry:
-    """Exponent of the reduced stable homotopy of B Z/r in degree j, from the
-    first source that knows it: the shipped values, the product over the
-    coprime prime-power components of a composite r, the caller's table.
-    Unknown is a value, never an error; callers must propagate it explicitly.
+    """Exponent of the reduced stable homotopy of B Z/r in degree j: the
+    product over the prime-power components q = l**n of r of the first source
+    that knows q: the formula (j < 2l - 2), the shipped values (q = 2), the
+    caller's table at (q, j).  The table at (r, j) is read only when some
+    component is unknown.  Unknown is a value, never an error.
     """
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    pairs = factorize(r).pairs
-    if len(pairs) == 1:
-        ell, n = pairs[0]
+    table = table or {}
+    value, provenance = 1, PROVENANCE_FORMULA
+    for ell, n in factorize(r).pairs:
+        q = ell**n
         if j < 2 * ell - 2:
-            return ExponentEntry(ell**n if j % 2 else 1, PROVENANCE_FORMULA)
-        if r == 2 and j in _BZ2_EXPONENTS:
-            return ExponentEntry(_BZ2_EXPONENTS[j], PROVENANCE_TABLE)
-    else:
-        value, provenance = 1, PROVENANCE_FORMULA
-        for ell, n in pairs:
-            part = stable_exponent_BZr(ell**n, j, table)
-            if not part.known:
-                break
-            value *= part.value
-            if part.provenance == PROVENANCE_TABLE:
-                provenance = PROVENANCE_TABLE
+            value *= q if j % 2 else 1
+        elif q == 2 and j in _BZ2_EXPONENTS:
+            value, provenance = value * _BZ2_EXPONENTS[j], PROVENANCE_TABLE
+        elif (q, j) in table:
+            value, provenance = value * table[(q, j)], PROVENANCE_TABLE
+        elif (r, j) in table:
+            return ExponentEntry(table[(r, j)], PROVENANCE_TABLE)
         else:
-            return ExponentEntry(value, provenance)
-    if table and (r, j) in table:
-        return ExponentEntry(table[(r, j)], PROVENANCE_TABLE)
-    return UNKNOWN_ENTRY
+            return UNKNOWN_ENTRY
+    return ExponentEntry(value, provenance)
 
 
 def _all_ints(values) -> bool:

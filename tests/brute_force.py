@@ -4,6 +4,7 @@ Each restates a quantity by its definition, so that the library's closed
 forms and fast paths have something independent to be checked against.
 """
 
+import collections
 import math
 
 from perindex.homology import IntMatrix
@@ -70,15 +71,20 @@ def euler_characteristic(c) -> int:
 
 
 def invariant_form_oracle(orders) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of the cyclic groups Z/o, by the
-    pairwise (gcd, lcm) sweep over every summand: Z/a + Z/b is
-    Z/gcd(a, b) + Z/lcm(a, b), and after the pass over position i the entry
-    at i divides every later one."""
-    out = list(orders)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            out[i], out[j] = math.gcd(out[i], out[j]), math.lcm(out[i], out[j])
-    return tuple(o for o in out if o > 1)
+    """Invariant factors of the direct sum of the cyclic groups Z/o, from the
+    primary decomposition: Z/o is the sum of Z/p**k over the prime powers
+    exactly dividing o.  Sort each prime's exponents in descending order; the
+    i-th largest invariant factor is the product of p**(i-th exponent) over
+    the primes p."""
+    exponents = collections.defaultdict(list)
+    for o in orders:
+        for p, k in trial_division(o):
+            exponents[p].append(k)
+    largest_first = [1] * max(map(len, exponents.values()), default=0)
+    for p, ks in exponents.items():
+        for i, k in enumerate(sorted(ks, reverse=True)):
+            largest_first[i] *= p**k
+    return tuple(reversed(largest_first))
 
 
 def diagonal_matrix(rows: int, cols: int, diagonal) -> IntMatrix:

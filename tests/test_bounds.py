@@ -23,7 +23,7 @@ from perindex.bounds import (
     upper_bound_product,
 )
 from perindex.numtheory import m_closed, n_func
-from perindex.stable_tables import ExponentEntry
+from perindex.stable_tables import UNKNOWN_ENTRY, ExponentEntry
 
 from brute_force import m_oracle, prime_support
 
@@ -38,6 +38,14 @@ def test_report_validation():
         BoundReport(3, KIND_UPPER, "tag", ((1, entry),))  # 3 != 2
     report = BoundReport(2, KIND_UPPER, "tag", ((1, entry),))
     assert report.known and report.partial_product == 2
+    # the bound is None exactly when a factor is unknown
+    partial = ((1, entry), (2, UNKNOWN_ENTRY))
+    with pytest.raises(ValueError):
+        BoundReport(2, KIND_UPPER, "tag", partial)
+    with pytest.raises(ValueError):
+        BoundReport(None, KIND_UPPER, "tag", ((1, entry),))
+    report = BoundReport(None, KIND_UPPER, "tag", partial)
+    assert report.unknown_indices() == (2,) and report.partial_product == 2
 
 
 def test_report_describe_directions():

@@ -33,6 +33,7 @@ from perindex.homology import (
     cohomology_generators_Z,
     cohomology_mod,
     cohomology_Z,
+    _invariant_form,
     load_chain_complex,
     rp_complex,
     smith_normal_form,
@@ -826,6 +827,23 @@ def test_mod_cohomology_matches_the_full_sweep(r, free, diagonal):
     gcds = [math.gcd(d, r) for d in diagonal]
     assert cohomology_mod(c, 0, r).torsion == invariant_form_oracle(gcds)
     assert cohomology_mod(c, 1, r).torsion == invariant_form_oracle([r] * free + gcds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from([1, *pool]), max_size=12)
+    )
+)
+def test_invariant_form_matches_the_primary_decomposition(orders):
+    # the pool makes repeated orders and trivial summands Z/1 common
+    assert _invariant_form(orders) == invariant_form_oracle(orders)
+
+
+def test_invariant_form_oracle_examples():
+    assert invariant_form_oracle([]) == invariant_form_oracle([1, 1]) == ()
+    assert invariant_form_oracle([4, 6]) == (2, 12)
+    assert invariant_form_oracle([2, 3, 2, 9, 1]) == (6, 18)
 
 
 def test_mod_cohomology_is_linear_in_the_free_rank():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from perindex import stable_tables
 from perindex.bounds import upper_bound_product
+from perindex.numtheory import factorize
 from perindex.stable_tables import (
     PROVENANCE_FORMULA,
     PROVENANCE_TABLE,
@@ -142,6 +144,36 @@ def test_table_extension():
         {"table": [{"r": 6, "j": 4, "invariant_factors": [6]}]}
     )
     assert stable_exponent_BZr(6, 4, table2).value == 6
+
+
+# the 9-component of r = 18 beyond the formula range, degrees 4 and 5
+R18_ROWS = {"table": [
+    {"r": 9, "j": 4, "invariant_factors": [9]},
+    {"r": 9, "j": 5, "invariant_factors": [3, 27]},
+]}
+
+
+def test_composite_period_takes_a_component_from_the_table():
+    # 18 = 2 * 9: the 2-component is the formula, then the shipped B Z/2
+    # values; the 9-component is the formula below degree 4, then the rows
+    table = exponent_table_from_json(R18_ROWS)
+    entries = [stable_exponent_BZr(18, j, table) for j in range(1, 6)]
+    assert [e.value for e in entries] == [18, 2, 72, 18, 27]
+    assert [e.provenance for e in entries] == [PROVENANCE_FORMULA] + [PROVENANCE_TABLE] * 4
+    assert upper_bound_product(6, 18, table).bound == 1259712
+    # no row for the 9-component at degree 6
+    assert not stable_exponent_BZr(18, 6, table).known
+
+
+def test_one_factorization_per_lookup(monkeypatch):
+    # the components come from one factorization of r, none of their own
+    table = exponent_table_from_json(R18_ROWS)
+    lookups = []
+    monkeypatch.setattr(stable_tables, "factorize", lambda n: lookups.append(n) or factorize(n))
+    for r, j in ((18, 5), (18, 6), (6, 4), (60, 1), (2, 3), (9, 5), (7, 20)):
+        lookups.clear()
+        stable_exponent_BZr(r, j, table)
+        assert lookups == [r], (r, j)
 
 
 def test_table_extension_refuses_a_repeated_row():
