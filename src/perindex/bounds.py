@@ -15,8 +15,7 @@ from .numtheory import factorize, m_closed, n_func, r_primary_part
 from .stable_tables import (
     ExponentEntry,
     ExponentTable,
-    PROVENANCE_FORMULA,
-    stable_exponent_BZr,
+    _exponent,
 )
 
 __all__ = [
@@ -149,19 +148,20 @@ class OrdersProfile(namedtuple("OrdersProfile", "r orders")):
 
 def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> BoundReport:
     """Upper bound prod e_j over j = 1..d-1, where e_j is the exponent of the
-    degree-j reduced stable homotopy of B Z/r.
+    degree-j reduced stable homotopy of B Z/r (stable_exponent_BZr).
 
     The index of any class of period r on a d-dimensional complex divides the
-    bound.  Unknown entries leave the bound Unknown with the partial factors
-    listed.  A dimension above MAX_DIM is refused with ValueError.
+    bound.  r is factored once, but not at d = 1, which has no degrees.  Unknown
+    entries leave the bound Unknown with the partial factors listed.  A
+    dimension above MAX_DIM is refused with ValueError.
     """
     check_dimension(d)
     if r < 2:
         raise ValueError(f"period must be >= 2, got {r}")
-    factors = tuple((j, stable_exponent_BZr(r, j, table)) for j in range(1, d))
-    assumptions: tuple[str, ...] = ()
-    if factors and len(factorize(r).pairs) > 1:
-        assumptions = (COMPOSITE_RULE_NOTE,)
+    pairs = factorize(r).pairs if d > 1 else ()
+    table = table or {}
+    factors = tuple((j, _exponent(pairs, r, j, table)) for j in range(1, d))
+    assumptions = (COMPOSITE_RULE_NOTE,) if len(pairs) > 1 else ()
     known = all(e.known for _, e in factors)
     bound = math.prod(e.value for _, e in factors) if known else None
     return BoundReport(bound, KIND_UPPER, TAG_PRODUCT, factors, assumptions)
@@ -172,7 +172,8 @@ def upper_bound_prime_power(d: int, r: int) -> BoundReport:
     the hypothesis 2l > d+1.  A composite r, or 2l <= d+1, is refused with
     HypothesisViolatedError rather than silently degraded; callers fall back
     to upper_bound_product.  A dimension above MAX_DIM is refused with
-    ValueError."""
+    ValueError.  Under the hypothesis every j < d has j < 2l - 2, so this is
+    the exponent product less its even degrees, which are 1."""
     check_dimension(d)
     pairs = factorize(r).pairs
     if len(pairs) != 1:
@@ -182,9 +183,7 @@ def upper_bound_prime_power(d: int, r: int) -> BoundReport:
         raise HypothesisViolatedError(
             f"prime-power bound needs 2*{ell} > {d}+1; use the exponent product instead"
         )
-    factors = tuple(
-        (j, ExponentEntry(r, PROVENANCE_FORMULA)) for j in range(1, d) if j % 2
-    )
+    factors = tuple((j, _exponent(pairs, r, j, {})) for j in range(1, d, 2))
     return BoundReport(r ** (d // 2), KIND_UPPER, TAG_PRIME_POWER, factors)
 
 

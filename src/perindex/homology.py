@@ -177,27 +177,14 @@ class IntMatrix:
         return IntMatrix._trusted(self.rows, width, out)
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant from the verified smith_normal_form U A V = D: the
+        product of the diagonal, negated once for each swap and each negation
+        in the two logs (determinant -1 each; an addition has determinant 1)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        snf = smith_normal_form(self)
+        flips = sum(kind != _ADD for kind in snf.row_log[::4] + snf.col_log[::4])
+        return (-1) ** flips * math.prod(snf.diag)
 
     def to_lists(self) -> list[list[int]]:
         return [row[:] for row in self.data]

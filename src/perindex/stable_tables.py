@@ -133,9 +133,13 @@ def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> E
         raise ValueError(f"r must be >= 2, got {r}")
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    table = table or {}
+    return _exponent(factorize(r).pairs, r, j, table or {})
+
+
+def _exponent(pairs, r: int, j: int, table: ExponentTable) -> ExponentEntry:
+    """stable_exponent_BZr(r, j, table) from the prime-power pairs (l, n) of r."""
     value, provenance = 1, PROVENANCE_FORMULA
-    for ell, n in factorize(r).pairs:
+    for ell, n in pairs:
         q = ell**n
         if j < 2 * ell - 2:
             value *= q if j % 2 else 1

@@ -29,6 +29,18 @@ def m_oracle(a: int, s: int) -> int:
     return g
 
 
+def det_oracle(rows) -> int:
+    """Determinant of a square matrix, given by its rows, by Laplace
+    expansion along the first row; 1 for the empty matrix."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * det_oracle([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
 def trial_division(a: int) -> tuple[tuple[int, int], ...]:
     """Factorization of a >= 1 by dividing by every candidate up to sqrt(a)."""
     pairs = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perindex import bounds, stable_tables
 from perindex.bounds import (
     COMPOSITE_RULE_NOTE,
     BoundReport,
@@ -22,7 +23,7 @@ from perindex.bounds import (
     upper_bound_prime_power,
     upper_bound_product,
 )
-from perindex.numtheory import m_closed, n_func
+from perindex.numtheory import factorize, m_closed, n_func
 from perindex.stable_tables import UNKNOWN_ENTRY, ExponentEntry
 
 from brute_force import m_oracle, prime_support
@@ -122,6 +123,38 @@ def test_theorem_agreement_in_overlap():
                 product = upper_bound_product(d, ell**k)
                 half = upper_bound_prime_power(d, ell**k)
                 assert product.bound == half.bound == (ell**k) ** (d // 2)
+
+
+def test_one_factorization_per_bound(monkeypatch):
+    looked_up = []
+
+    def counted(a):
+        looked_up.append(a)
+        return factorize(a)
+
+    for module in (bounds, stable_tables):
+        monkeypatch.setattr(module, "factorize", counted)
+    report = upper_bound_product(12, 18, {(9, 4): 9, (9, 5): 27})
+    assert report.assumptions == (COMPOSITE_RULE_NOTE,)
+    assert looked_up == [18]
+    looked_up.clear()
+    upper_bound_prime_power(9, 11)
+    assert looked_up == [11]
+    looked_up.clear()
+    # at d = 1 there are no factors, so a period rho cannot split is never factored
+    assert upper_bound_product(1, 2787593149816327892763980872944807277756691).bound == 1
+    assert looked_up == []
+
+
+def test_half_dimension_factors_are_the_odd_degree_exponents():
+    for r in range(2, 126):
+        pairs = factorize(r).pairs
+        if len(pairs) != 1:
+            continue
+        ell = pairs[0][0]
+        for d in range(1, 2 * ell - 1):  # 2*ell > d+1
+            odd = tuple((j, e) for j, e in upper_bound_product(d, r).factors if j % 2)
+            assert upper_bound_prime_power(d, r).factors == odd, (d, r)
 
 
 def test_lower_bound_skeleton_examples():

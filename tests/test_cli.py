@@ -1,6 +1,9 @@
 """CLI tests: output shapes, JSON envelopes, golden schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -403,6 +406,26 @@ def test_fixtures_emit(tmp_path, capsys):
     code, _, err = run(capsys, "fixtures", "emit", "torus-2")
     assert code == 1
     assert "unknown fixture" in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader closes the pipe after its first read; the 560 KB document
+    # is far more than a pipe holds, so the console script's writes fail
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); "
+        "from perindex.cli import console_main; console_main()"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "fixtures", "emit", "bzr-2-20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 @pytest.mark.parametrize("name", [f"sphere-{MAX_CELLS}", f"rp-{MAX_CELLS}", f"bzr-3-{MAX_CELLS}"])

@@ -48,6 +48,7 @@ from brute_force import (
     apply,
     column,
     connected_blocks,
+    det_oracle,
     diagonal_matrix,
     elementary_matrix,
     euler_characteristic,
@@ -83,6 +84,32 @@ def test_det_examples():
     assert IntMatrix(2, 2, [[2, 0], [0, 3]]).det() == 6
     assert IntMatrix(2, 2, [[0, 1], [1, 0]]).det() == -1
     assert IntMatrix(3, 3, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
+
+
+def test_det_against_laplace_expansion():
+    # the determinant read off the Smith logs against its definition, on
+    # seeded matrices from 0 x 0 to 6 x 6; a third are made singular by
+    # setting one row to a multiple (possibly 0) of another
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for _ in range(500):
+        n = rng.randint(0, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 1 / 3:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            rows[i] = [c * x for x in rows[j]]
+        a, expected = IntMatrix(n, n, rows), det_oracle(rows)
+        assert a.det() == expected, rows
+        d = smith_normal_form(a)
+        kinds = collections.Counter(d.row_log[::4] + d.col_log[::4])
+        seen.update(
+            singular=expected == 0,
+            swap=kinds[SWAP] > 0,
+            negation=kinds[NEG] > 0,
+            odd_flips=(kinds[SWAP] + kinds[NEG]) % 2 == 1,
+        )
+    assert min(seen[k] for k in ("singular", "swap", "negation", "odd_flips")) >= 50, seen
 
 
 def test_entries_must_be_integers():
