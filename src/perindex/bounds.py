@@ -213,23 +213,25 @@ def pu_eta_power_order(n: int, s: int) -> int:
 
 def degree_admissible(n: int, profile: OrdersProfile) -> bool:
     """Whether a degree-n algebra can carry a class with the given cup-power
-    orders: every o_s must divide m_closed(n, s)."""
+    orders: r and then the forced divisor must divide n.  n is never factored,
+    and the orders are factored only when r divides n."""
     if n < 2:
         raise ValueError(f"candidate degree must be >= 2, got {n}")
-    return all(m_closed(n, s) % o == 0 for s, o in enumerate(profile.orders, start=1))
+    return n % profile.r == 0 and n % _forced_divisor(profile) == 0
 
 
 def min_admissible_degree(profile: OrdersProfile, search_cap: int) -> int | None:
-    """Smallest admissible degree <= search_cap, or None when none exists.
-
-    o_s divides m_closed(n, s) exactly when n_func(o_s, s) divides n, so the
-    admissible degrees are the multiples of L = lcm_s n_func(o_s, s) and the
-    smallest one is max(2, L).
-    """
+    """Smallest admissible degree <= search_cap, or None when none exists: the
+    admissible degrees are the multiples of the forced divisor L, so max(2, L)."""
     if search_cap < 2:
         raise ValueError(f"search_cap must be >= 2, got {search_cap}")
-    least = max(2, math.lcm(*(n_func(o, s) for s, o in enumerate(profile.orders, start=1))))
+    least = max(2, _forced_divisor(profile))
     return least if least <= search_cap else None
+
+
+def _forced_divisor(profile: OrdersProfile) -> int:
+    """L = lcm_s n_func(o_s, s): o_s divides m_closed(n, s) for every s iff L divides n."""
+    return math.lcm(*(n_func(o, s) for s, o in enumerate(profile.orders, start=1)))
 
 
 def check_per_ind_consistency(per: int, ind: int) -> bool:

@@ -307,22 +307,18 @@ def _check_positive_pair(a: int, s: int, first: str) -> None:
 
 def m_closed(a: int, s: int) -> int:
     """gcd of the binomial coefficients C(a,1), ..., C(a,s) in closed form:
-    prod p**max(n - [log_p s], 0) over the factorization a = prod p**n."""
+    prod p**max(n - [log_p s], 0) over a = prod p**n, that is, a over its gcd
+    with n_func(a, s) / a = prod p**[log_p s].  Every p**n dividing a is at
+    most a, so from s = a on the gcd of the binomials is 1: s is capped at a."""
     _check_positive_pair(a, s, "a")
-    out = 1
-    for p, n in factorize(a).pairs:
-        e = n - integer_log(p, s)
-        if e > 0:
-            out *= p**e
-    return out
+    return a // math.gcd(a, n_func(a, min(s, a)) // a)
 
 
 def n_func(b: int, s: int) -> int:
     """prod p**(n + [log_p s]) over the factorization b = prod p**n.
 
-    If b divides m_closed(a, s) then this value divides a: it is the divisor
-    forced on any degree whose binomial gcd retains b.
-    """
+    b divides m_closed(a, s) exactly when n_func(b, s) divides a: both say
+    n + [log_p s] <= v_p(a) wherever p**n exactly divides b."""
     _check_positive_pair(b, s, "b")
     out = 1
     for p, n in factorize(b).pairs:

@@ -28,6 +28,7 @@ __all__ = [
 
 PROVENANCE_FORMULA = "formula-range"
 PROVENANCE_TABLE = "shipped-table"
+PROVENANCE_EXTENSION = "extension-table"
 PROVENANCE_UNKNOWN = "unknown"
 
 
@@ -146,9 +147,9 @@ def _exponent(pairs, r: int, j: int, table: ExponentTable) -> ExponentEntry:
         elif q == 2 and j in _BZ2_EXPONENTS:
             value, provenance = value * _BZ2_EXPONENTS[j], PROVENANCE_TABLE
         elif (q, j) in table:
-            value, provenance = value * table[(q, j)], PROVENANCE_TABLE
+            value, provenance = value * table[(q, j)], PROVENANCE_EXTENSION
         elif (r, j) in table:
-            return ExponentEntry(table[(r, j)], PROVENANCE_TABLE)
+            return ExponentEntry(table[(r, j)], PROVENANCE_EXTENSION)
         else:
             return UNKNOWN_ENTRY
     return ExponentEntry(value, provenance)

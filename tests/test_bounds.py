@@ -1,12 +1,13 @@
 """Tests for the divisibility bound reports and the cup-power obstructions."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perindex import bounds, stable_tables
+from perindex import bounds, numtheory, stable_tables
 from perindex.bounds import (
     COMPOSITE_RULE_NOTE,
     BoundReport,
@@ -187,6 +188,41 @@ def test_degree_admissible_examples():
     assert degree_admissible(4, OrdersProfile(2, (2, 2)))
     assert not degree_admissible(2, OrdersProfile(2, (2, 2)))  # m(2,2) = 1
     assert degree_admissible(7, OrdersProfile(1, (1, 1, 1)))
+
+
+def test_degree_admissible_against_the_binomial_gcds():
+    # the criterion by definition, o_s | m(n, s) with m by brute force: both
+    # admissibility functions read one forced divisor, so neither checks the other
+    m = functools.cache(m_oracle)
+    cases = 0
+    for r in range(1, 25):
+        divisors = [o for o in range(1, r + 1) if r % o == 0]
+        for length in range(3):
+            for tail in itertools.product(divisors, repeat=length):
+                profile = OrdersProfile(r, (r,) + tail)
+                for n in range(2, 120):
+                    expected = all(m(n, s) % o == 0 for s, o in enumerate(profile.orders, 1))
+                    assert degree_admissible(n, profile) == expected, (n, profile)
+                    cases += 1
+    assert cases == 55_696
+
+
+def test_admissibility_never_factors_the_degree(monkeypatch):
+    factored = []
+
+    def counted(a):
+        factored.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    # rho cannot split the composite hard within its budget; the degree is 4 * hard
+    hard = 2787593149816327892763980872944807277756691
+    degree = 4 * hard
+    assert degree_admissible(degree, OrdersProfile(2, (2, 2)))
+    assert degree not in factored
+    factored.clear()
+    assert not degree_admissible(12, OrdersProfile(hard, (hard,)))
+    assert factored == []
 
 
 @settings(max_examples=100)

@@ -202,6 +202,14 @@ def test_m_closed_matches_oracle(a, data):
     assert m_closed(a, s) == m_oracle(a, s)
 
 
+def test_m_closed_matches_oracle_past_the_cap():
+    # m_closed caps s at a; the oracle takes every s as it comes
+    for a in range(1, 60):
+        for s in range(1, 2 * a + 1):
+            assert m_closed(a, s) == m_oracle(a, s), (a, s)
+    assert m_closed(12, 10**4000) == 1
+
+
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40))
 def test_m_monotone_under_divisibility(a, s):
     assert m_closed(a, s) % m_closed(a, s + 1) == 0

@@ -8,6 +8,7 @@ from perindex import stable_tables
 from perindex.bounds import upper_bound_product
 from perindex.numtheory import factorize
 from perindex.stable_tables import (
+    PROVENANCE_EXTENSION,
     PROVENANCE_FORMULA,
     PROVENANCE_TABLE,
     PROVENANCE_UNKNOWN,
@@ -136,7 +137,7 @@ def test_table_extension():
         {"table": [{"r": 2, "j": 7, "invariant_factors": [2, 16]}]}
     )
     entry = stable_exponent_BZr(2, 7, table)
-    assert (entry.value, entry.provenance) == (16, PROVENANCE_TABLE)
+    assert (entry.value, entry.provenance) == (16, PROVENANCE_EXTENSION)
     # unrelated entries stay unknown
     assert not stable_exponent_BZr(2, 8, table).known
     # composite lookups may be answered directly by the table
@@ -159,7 +160,10 @@ def test_composite_period_takes_a_component_from_the_table():
     table = exponent_table_from_json(R18_ROWS)
     entries = [stable_exponent_BZr(18, j, table) for j in range(1, 6)]
     assert [e.value for e in entries] == [18, 2, 72, 18, 27]
-    assert [e.provenance for e in entries] == [PROVENANCE_FORMULA] + [PROVENANCE_TABLE] * 4
+    # a part from the caller's rows tags the product, over the shipped 2-part
+    assert [e.provenance for e in entries] == (
+        [PROVENANCE_FORMULA] + [PROVENANCE_TABLE] * 2 + [PROVENANCE_EXTENSION] * 2
+    )
     assert upper_bound_product(6, 18, table).bound == 1259712
     # no row for the 9-component at degree 6
     assert not stable_exponent_BZr(18, 6, table).known
@@ -199,7 +203,7 @@ def test_shipped_values_take_precedence_over_the_table():
     assert (entry.value, entry.provenance) == (5, PROVENANCE_FORMULA)
     # the table still answers where a component is unknown (3 at j = 4)
     entry = stable_exponent_BZr(6, 4, table)
-    assert (entry.value, entry.provenance) == (6, PROVENANCE_TABLE)
+    assert (entry.value, entry.provenance) == (6, PROVENANCE_EXTENSION)
 
 
 def test_table_support_check_needs_no_factorization():
