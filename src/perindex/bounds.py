@@ -222,9 +222,13 @@ def degree_admissible(n: int, profile: OrdersProfile) -> bool:
 
 def min_admissible_degree(profile: OrdersProfile, search_cap: int) -> int | None:
     """Smallest admissible degree <= search_cap, or None when none exists: the
-    admissible degrees are the multiples of the forced divisor L, so max(2, L)."""
+    admissible degrees are the multiples of the forced divisor L, so max(2, L).
+    r = n_func(o_1, 1) divides L, so an r past the cap settles it before any
+    order is factored."""
     if search_cap < 2:
         raise ValueError(f"search_cap must be >= 2, got {search_cap}")
+    if profile.r > search_cap:
+        return None
     least = max(2, _forced_divisor(profile))
     return least if least <= search_cap else None
 

@@ -366,16 +366,25 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     unit), moved to (t, t) by a row and a column swap and made positive by a
     row negation.  Column t is then cleared below the pivot p by row
     additions whose quotients are rounded to the nearest integer, so every
-    residue lies in (-p/2, p/2]; while one is nonzero, the row holding the
-    first least of them is swapped up as the next pivot, which at least
-    halves the pivot without rescanning the block.  The pivot row is then
-    reduced by column additions with floor division; a remainder there, rare
-    once the pivot is a unit, sends the step back to the block scan.  A
-    final fold guarantees the pivot divides the remaining block before
-    advancing, which makes the divisibility chain automatic (a unit pivot
-    divides everything, so it needs no fold).  Entries are
-    arbitrary-precision, so coefficient growth only ever costs time, never
-    correctness.
+    residue lies in (-p/2, p/2].  While one is nonzero, the next pivot comes
+    from that column alone.  If some residue r reaches g, the gcd of the
+    column, with the pivot (gcd(p, r) = g), a pair step runs Euclid, with
+    nearest-rounded quotients, on the pivot row and the row holding the
+    first least such residue, and the row left holding +-g is the next
+    pivot: it divides every residue, so the next pass clears the column.
+    Otherwise, as in the first pass over the column (6, 10, 15), whose
+    residues -2 and -3 reach only 2 and 3 with the pivot 6, the row holding
+    the first least residue is swapped up as the next pivot, which at least
+    halves the pivot without rescanning the block.  On dense input the pair
+    step saves most of the passes over every row, and since it follows a
+    full pass, its quotients stay below the pivot, which keeps entries
+    nearly as narrow as the passes alone do.  The pivot row is then reduced
+    by column additions with floor division; a remainder there, rare once
+    the pivot is a unit, sends the step back to the block scan.  A final
+    fold guarantees the pivot divides the remaining block before advancing,
+    which makes the divisibility chain automatic (a unit pivot divides
+    everything, so it needs no fold).  Entries are arbitrary-precision, so
+    coefficient growth only ever costs time, never correctness.
 
     Only the working matrix is updated; each operation is appended to its
     side's log instead of being applied to witnesses.  Rows t and below are
@@ -430,8 +439,22 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                         best, pi = abs(x), i
             if not best:
                 break
-            s[t], s[pi] = s[pi], s[t]
-            row_log += (_SWAP, t, pi, 0)
+            # the pair step: Euclid on the pivot row and the partner, the row
+            # with the least residue among those that reach the gcd g of
+            # column t with the pivot, leaves +-g in one of them
+            g = math.gcd(pivot, *(row[t] for row in s[t + 1 :]))
+            partners = [i for i in range(t + 1, m) if math.gcd(pivot, s[i][t]) == g]
+            if partners:
+                x, y = t, min(partners, key=lambda i: abs(s[i][t]))
+                while s[y][t]:
+                    q = (2 * s[x][t] + s[y][t]) // (2 * s[y][t])
+                    s[x][t:] = _axpy(s[x][t:], s[y][t:], -q)
+                    row_log += (_ADD, x, y, -q)
+                    x, y = y, x
+                pi = x
+            if pi != t:
+                s[t], s[pi] = s[pi], s[t]
+                row_log += (_SWAP, t, pi, 0)
         pivot_row = s[t]
         for j in range(t + 1, n):
             if pivot_row[j]:
@@ -884,10 +907,12 @@ def load_chain_complex(path) -> ChainComplex:
 # --- Fixture complexes ------------------------------------------------------
 
 def bzr_skeleton_complex(r: int, top_dim: int, name: str | None = None) -> ChainComplex:
-    """One cell per dimension with boundaries alternating 0, *r (the standard
-    lens-type model of a skeleton of B Z/r shifted up a degree): integrally,
+    """One cell per dimension with boundaries alternating 0, *r: the degree-k
+    boundary is r for even k and 0 for odd k, the cellular chains of the
+    standard lens-space model of B Z/r itself, up to top_dim.  Integrally,
     cohomology is Z in degree 0, Z/r in positive even degrees, and zero in odd
-    degrees below the top.  The top degree itself is distorted by truncation."""
+    degrees below the top, so H^3 has no torsion.  The top degree itself is
+    distorted by truncation."""
     if r < 2:
         raise ValueError(f"r must be >= 2, got {r}")
     if top_dim < 1:

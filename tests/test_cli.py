@@ -7,10 +7,11 @@ import sys
 
 import pytest
 
-from perindex import ahss, bounds, cli
+from perindex import ahss, bounds, cli, numtheory
 from perindex.bounds import KIND_UPPER, MAX_DIM, TAG_PRODUCT, BoundReport
 from perindex.cli import main
 from perindex.homology import MAX_CELLS, bzr_skeleton_complex, chain_complex_to_json
+from perindex.numtheory import factorize
 
 
 def run(capsys, *argv):
@@ -258,6 +259,23 @@ def test_min_degree(capsys):
     assert code == 0
     assert "none-found" in out
     assert "exceeds the cap 6" in out
+
+
+def test_min_degree_past_the_cap_factors_nothing(capsys, monkeypatch):
+    # r divides the forced divisor, so an r past the cap answers before any
+    # order is factored; rho cannot split this semiprime within its budget
+    factored = []
+
+    def counted(a):
+        factored.append(a)
+        return factorize(a)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    hard = 2787593149816327892763980872944807277756691
+    code, out, _ = run(capsys, "min-degree", "--orders", f"{hard},{hard}", "--cap", "5")
+    assert code == 0
+    assert out.strip() == "none-found (the least admissible degree exceeds the cap 5)"
+    assert factored == []
 
 
 def test_per_ind_check(capsys):

@@ -550,18 +550,29 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
 
 def test_snf_pivots_on_negative_rounded_residues():
     # the nearest quotient leaves a negative residue, which the next round
-    # swaps up as the pivot and negates
-    cases = [
-        ([[5], [3]], (1,), (ADD, 1, 0, -2), (ADD, 1, 0, -3)),  # 5 - 2*3 = -1
-        ([[-6], [4]], (2,), (ADD, 1, 0, 1), (ADD, 1, 0, -2)),  # -6 + 4 = -2
+    # swaps up as the pivot and negates: the first residues -2 and -3 reach
+    # only 2 and 3 with the pivot 6, not the column's gcd 1, so there is no
+    # pair step until the second round, where -1 reaches 1 with the pivot 2
+    neg = (NEG, 0, 0, 0)
+    rounds = [
+        (ADD, 1, 0, -2),  # 10 - 2*6 = -2
+        (ADD, 2, 0, -3),  # 15 - 3*6 = -3
+        (SWAP, 0, 1, 0),
+        neg,
+        (ADD, 1, 0, -3),  # 6 - 3*2 = 0
+        (ADD, 2, 0, 1),  # -3 + 2 = -1
+        (ADD, 0, 2, 2),  # the pair step: 2 + 2*(-1) = 0
+        (SWAP, 0, 2, 0),
+        neg,
     ]
-    for rows, diag, first, last in cases:
-        a = IntMatrix(2, 1, rows)
+    # the same column doubled, with the pivot negated first
+    cases = [([[6], [10], [15]], (1,), rounds), ([[-12], [20], [30]], (2,), [neg] + rounds)]
+    for rows, diag, ops in cases:
+        a = IntMatrix(3, 1, rows)
         d = smith_normal_form(a)
         d.verify(a)
         assert d.diagonal() == diag
-        swap = (SWAP, 0, 1, 0)
-        assert _ops(d.row_log) == [swap, first, swap, (NEG, 0, 0, 0), last]
+        assert _ops(d.row_log) == ops
         assert d.col_log == []
     # rank-deficient: rows 0 and 1 are 2 and 3 times (2, 3, 1)
     a = IntMatrix(3, 3, [[4, 6, 2], [6, 9, 3], [2, 8, 10]])
@@ -573,14 +584,40 @@ def test_snf_pivots_on_negative_rounded_residues():
 
 def test_dense_snf_operation_count():
     # a deterministic stand-in for a timing test: 11,362 operations when
-    # every pivot rescanned the whole block and quotients were floored
+    # every pivot rescanned the whole block and quotients were floored, and
+    # 9,156 before each column took its pair step
     rng = random.Random(2026)
     a = IntMatrix(48, 48, [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)])
     d = smith_normal_form(a)
-    # 7,990 row and 1,166 column operations, counted by kind
-    assert collections.Counter(d.row_log[::4]) == {ADD: 7124, SWAP: 570, NEG: 296}
-    assert collections.Counter(d.col_log[::4]) == {ADD: 1121, SWAP: 45}
-    assert len(d.row_log) // 4 + len(d.col_log) // 4 == 9156 < 11362
+    # 3,866 row and 1,168 column operations, counted by kind
+    assert collections.Counter(d.row_log[::4]) == {ADD: 3762, SWAP: 62, NEG: 42}
+    assert collections.Counter(d.col_log[::4]) == {ADD: 1125, SWAP: 43}
+    assert len(d.row_log) // 4 + len(d.col_log) // 4 == 5034 < 9156
+    # the pair step follows a full pass, so its quotients stay below the
+    # pivot: the widest multiplier has 410 bits, 214 with no pair step and
+    # 4,047 with Euclid run before the first pass
+    assert max(map(abs, d.row_log[3::4] + d.col_log[3::4])).bit_length() == 410
+
+
+def test_snf_pair_step_reaches_the_column_gcd():
+    # the first residue, 5 - 2*3 = -1, reaches the gcd 1 with the pivot 3:
+    # the pair step leaves 3 + 3*(-1) = 0 in the pivot row, so row 1 is
+    # swapped up and negated, and the column is clear
+    a = IntMatrix(2, 1, [[5], [3]])
+    d = smith_normal_form(a)
+    d.verify(a)
+    assert d.diagonal() == (1,)
+    swap = (SWAP, 0, 1, 0)
+    assert _ops(d.row_log) == [swap, (ADD, 1, 0, -2), (ADD, 0, 1, 3), swap, (NEG, 0, 0, 0)]
+    assert d.col_log == []
+    # a seeded 64 x 64 keeps the diagonal of the rounds alone
+    rng = random.Random(64)
+    a = IntMatrix(64, 64, [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)])
+    d = smith_normal_form(a)
+    d.verify(a)
+    assert d.diagonal() == (1,) * 63 + (
+        511057060955166882057692180206702826578250597751978327392728078231518906276243437563774460,
+    )
 
 
 def test_snf_diagonals_match_sympy():
