@@ -6,17 +6,19 @@ documents and Smith logs are checked by one rule, stable_tables._all_ints.
 A Smith decomposition U A V = D keeps its diagonal and a log each of the
 elementary row and column operations that reduced A to D.  _operations
 checks that a log is integer quadruples, and one interpreter, _replay,
-checks each operation as it applies it to rows, with arithmetic apart from
-the elimination's.  Replayed on A, the logs certify the decomposition: each
-operation is an elementary integer matrix of determinant +-1, so a replay
-that ends exactly at D proves U A V = D with U and V unimodular.  Replayed
-on the rows of a matrix, a log multiplies them by U, V or their inverses,
-which are never stored.  Matrix products skip zero entries and treat +-1
-as addition and subtraction, which suits the sparse 0/+-1 boundary matrices
-of cell complexes.  A complex reads the nonzero columns of each boundary
-row once; the check that boundaries compose to zero accumulates over those
-entries alone, and they cut each boundary into the connected blocks of its
-nonzero pattern.  Cohomology groups, and the connecting map of the
+checks each operation as it meets it and applies it to rows, with
+arithmetic apart from the elimination's; a run of additions between the
+same two rows, such as a Euclid run of the elimination, is applied as the
+one 2 x 2 integer matrix it multiplies to.  Replayed on A, the logs certify
+the decomposition: each operation is an elementary integer matrix of
+determinant +-1, so a replay that ends exactly at D proves U A V = D with U
+and V unimodular.  Replayed on the rows of a matrix, a log multiplies them
+by U, V or their inverses, which are never stored.  Matrix products skip
+zero entries and treat +-1 as addition and subtraction, which suits the
+sparse 0/+-1 boundary matrices of cell complexes.  A complex reads the
+nonzero columns of each boundary row once; the check that boundaries
+compose to zero accumulates over those entries alone, and they cut each
+boundary into the connected blocks of its nonzero pattern.  Cohomology groups, and the connecting map of the
 coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, follow
 from the invariant factors of the boundary maps by the universal
 coefficient theorem: a block with one row or one column has the gcd of its
@@ -218,9 +220,18 @@ def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
     swaps rows i and t, a negation negates row i, an addition adds
     sign * q * row t to row i.  The one interpreter of the operations, it
     raises RuntimeError naming side and k on an unknown kind, on i or t
-    outside range(len(rows)), and on a row added to itself (scaled by 1 + q)."""
+    outside range(len(rows)), and on a row added to itself (scaled by 1 + q).
+
+    Each operation is checked as it is met, but consecutive additions
+    between the same two rows, in either direction (a Euclid run), are
+    multiplied into one pending 2 x 2 integer matrix, which is applied to
+    the two whole rows when the run ends; a run of one addition is one
+    whole-row addition."""
     rows = list(rows)
     size = len(rows)
+    # the open run: n additions between rows a and b, which together make
+    # row a, row b := e * row a + f * row b, g * row a + h * row b
+    a = b = n = e = f = g = h = 0
     for side, k, kind, i, t, q in ops:
         problem = (
             f"has no kind {kind}" if kind not in _KINDS
@@ -231,12 +242,44 @@ def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
             raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
         if kind == _ADD:
             c = sign * q
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[t])]
-        elif kind == _SWAP:
-            rows[i], rows[t] = rows[t], rows[i]
+            if n and i == a and t == b:
+                e, f = e + c * g, f + c * h
+                n += 1
+                continue
+            if n and i == b and t == a:
+                g, h = g + c * e, h + c * f
+                n += 1
+                continue
+        # the open run ends here; a run of one, the common case, inline
+        if n == 1:
+            rows[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
+        elif n:
+            _close_run(rows, a, b, n, e, f, g, h)
+        if kind == _ADD:
+            a, b, n, e, f, g, h = i, t, 1, 1, c, 0, 1
         else:
-            rows[i] = [-x for x in rows[i]]
+            n = 0
+            if kind == _SWAP:
+                rows[i], rows[t] = rows[t], rows[i]
+            else:
+                rows[i] = [-x for x in rows[i]]
+    if n:
+        _close_run(rows, a, b, n, e, f, g, h)
     return rows
+
+
+def _close_run(rows, a, b, n, e, f, g, h) -> None:
+    """Apply _replay's run of n additions between rows a and b to the two
+    whole rows: row a, row b := e * row a + f * row b, g * row a + h * row b.
+    A run of one addition (e, g, h = 1, 0, 1) adds f * row b to row a alone;
+    the length, not the matrix, says so, since a longer run may bring g back
+    to 0 with e = h = -1."""
+    ra, rb = rows[a], rows[b]
+    if n == 1:
+        rows[a] = [x + f * y for x, y in zip(ra, rb)]
+    else:
+        rows[a] = [e * x + f * y for x, y in zip(ra, rb)]
+        rows[b] = [g * x + h * y for x, y in zip(ra, rb)]
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log col_log")):
@@ -321,11 +364,13 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         with i != t and q an integer is unitriangular, of determinant 1, so
         U and V, the products of the row and of the column log, are integer
         matrices of determinant +-1, with integer inverses.  _replay's
-        additions are written apart from the elimination's (_axpy) and act
-        on whole rows and columns, so neither the elimination's arithmetic
-        nor its reliance on rows that are zero left of the pivot column (it
-        adds only their live suffixes) or on a pivot column that is zero off
-        the pivot is trusted.
+        additions are written apart from the elimination's (_axpy and the
+        pair step's row combinations) and act on whole rows and columns, a
+        run of them between the same two rows as the 2 x 2 product of their
+        elementary matrices, so neither the elimination's arithmetic nor its
+        reliance on rows that are zero left of the pivot column (it adds
+        only their live suffixes) or on a pivot column that is zero off the
+        pivot is trusted.
         """
         m, n = self.shape
         diag = self.diag
@@ -378,9 +423,13 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     halves the pivot without rescanning the block.  On dense input the pair
     step saves most of the passes over every row, and since it follows a
     full pass, its quotients stay below the pivot, which keeps entries
-    nearly as narrow as the passes alone do.  The pivot row is then reduced
-    by column additions with floor division; a remainder there, rare once
-    the pivot is a unit, sends the step back to the block scan.  A final
+    nearly as narrow as the passes alone do.  Euclid runs on the two
+    column-t entries alone and logs each of its additions; the cofactors
+    it carries give the two rows as integer combinations of the pivot row
+    and the partner, and their live suffixes are written once.  The pivot
+    row is then reduced by column additions with floor division; a
+    remainder there, rare once the pivot is a unit, sends the step back to
+    the block scan.  A final
     fold guarantees the pivot divides the remaining block before advancing,
     which makes the divisibility chain automatic (a unit pivot divides
     everything, so it needs no fold).  Entries are arbitrary-precision, so
@@ -439,18 +488,25 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                         best, pi = abs(x), i
             if not best:
                 break
-            # the pair step: Euclid on the pivot row and the partner, the row
-            # with the least residue among those that reach the gcd g of
-            # column t with the pivot, leaves +-g in one of them
+            # the pair step: Euclid on the pivot row P and the partner B, the
+            # row with the least residue among those that reach the gcd g of
+            # column t with the pivot, leaves +-g in one of them.  It runs on
+            # the two column-t entries alone, carrying the cofactors of rows
+            # x and y in P and B, and writes the two live suffixes once.
             g = math.gcd(pivot, *(row[t] for row in s[t + 1 :]))
             partners = [i for i in range(t + 1, m) if math.gcd(pivot, s[i][t]) == g]
             if partners:
                 x, y = t, min(partners, key=lambda i: abs(s[i][t]))
-                while s[y][t]:
-                    q = (2 * s[x][t] + s[y][t]) // (2 * s[y][t])
-                    s[x][t:] = _axpy(s[x][t:], s[y][t:], -q)
+                row_p, row_b = s[x][t:], s[y][t:]
+                # row x is vx in column t and ex * P + fx * B; row y likewise
+                vx, ex, fx, vy, ey, fy = row_p[0], 1, 0, row_b[0], 0, 1
+                while vy:
+                    q = (2 * vx + vy) // (2 * vy)
                     row_log += (_ADD, x, y, -q)
                     x, y = y, x
+                    vx, ex, fx, vy, ey, fy = vy, ey, fy, vx - q * vy, ex - q * ey, fx - q * fy
+                s[x][t:] = [ex * p + fx * b for p, b in zip(row_p, row_b)]
+                s[y][t:] = [ey * p + fy * b for p, b in zip(row_p, row_b)]
                 pi = x
             if pi != t:
                 s[t], s[pi] = s[pi], s[t]

@@ -452,10 +452,24 @@ def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkey
         assert {w: d._act(w, rows[w]) for w in WITNESSES} == acted
 
 
+def _euclid_run(i, t, x, y):
+    """The additions, alternating between rows i and t, that Euclid with
+    nearest-rounded quotients logs on the entries x of row i and y != 0 of
+    row t, as the elimination's pair step logs them."""
+    ops = []
+    while y:
+        q = (2 * x + y) // (2 * y)
+        ops.append((ADD, i, t, -q))
+        i, t, x, y = t, i, y, x - q * y
+    return ops
+
+
 def _random_ops(rng, size, length):
     """length operations (kind, i, t, q) of any kind that fits size rows
     (or columns), in any order: swaps may repeat an index, and negations
-    and additions may hit any row or column, finished or not."""
+    and additions may hit any row or column, finished or not.  One in four
+    additions is a whole Euclid run instead, on two random integers of up
+    to 200 bits, so a log may hold runs of many additions between two rows."""
     kinds = [kind for kind, least in ((SWAP, 1), (NEG, 1), (ADD, 2)) if size >= least]
     ops = []
     for _ in range(length if kinds else 0):
@@ -467,7 +481,11 @@ def _random_ops(rng, size, length):
             ops.append((kind, i, rng.randrange(size), 0))
         else:
             t = rng.choice([x for x in range(size) if x != i])
-            ops.append((kind, i, t, rng.choice([-1, 1]) * rng.randint(1, 5)))
+            if rng.randrange(4):
+                ops.append((kind, i, t, rng.choice([-1, 1]) * rng.randint(1, 5)))
+            else:
+                x, y = (rng.randint(-(2**200), 2**200) for _ in range(2))
+                ops += _euclid_run(i, t, x, y or 1)
     return ops
 
 
@@ -546,6 +564,100 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
             with pytest.raises(RuntimeError, match="replay"):
                 mutant.verify(a)
     assert unusual_orders and column_negations and refused
+
+
+def _runs(log):
+    """(start, length) of each run of consecutive additions between the same
+    two rows (or columns), in either direction, of a flat log, in order."""
+    runs, pair = [], None
+    for k, (kind, i, t, _) in enumerate(_ops(log)):
+        if kind == ADD and pair in ((i, t), (t, i)):
+            runs[-1][1] += 1
+        elif kind == ADD:
+            runs.append([k, 1])
+        pair = (i, t) if kind == ADD else None
+    return [tuple(run) for run in runs]
+
+
+def test_replay_of_composed_runs_matches_elementary_products():
+    # one run of four additions between rows 1 and 0, then one addition to
+    # row 2: over the run, row 1, row 0 := -row 1 - 5 * row 0, -row 0, so
+    # the run's lower-left coefficient is back at 0 but it is no single
+    # addition, which a replay must tell by the run's length
+    log = [ADD, 1, 0, 3, ADD, 0, 1, 1, ADD, 1, 0, -2, ADD, 0, 1, 1, ADD, 2, 0, 3]
+    assert _runs(log) == [(0, 4), (4, 1)]
+    ops = _ops(log)
+    rng = random.Random(27)
+    oracle = _oracle_witnesses(ops, ops, 3, 3)
+    d = SmithDecomposition((3, 3), (1, 2, 6), log, log)
+    for which, w in oracle.items():
+        assert getattr(d, which) == w
+        x = IntMatrix(3, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in range(3)])
+        assert d._act(which, x.data) == (w @ x).data
+    target = diagonal_matrix(3, 3, (1, 2, 6))
+    a = oracle["u_inv"] @ target @ oracle["v_inv"]
+    d.verify(a)
+    # the run of a real pair step: [[89], [55]] is swapped, and then five
+    # alternating additions, one clearing pass and Euclid's four, reach 1
+    a = IntMatrix(2, 1, [[89], [55]])
+    d = smith_normal_form(a)
+    assert d.diagonal() == (1,)
+    assert _ops(d.row_log) == [
+        (SWAP, 0, 1, 0),
+        (ADD, 1, 0, -2),
+        (ADD, 0, 1, 3),
+        (ADD, 1, 0, -3),
+        (ADD, 0, 1, 3),
+        (ADD, 1, 0, -3),
+    ]
+    oracle = _oracle_witnesses(_ops(d.row_log), [], 2, 1)
+    assert d.U == oracle["U"] and d.u_inv == oracle["u_inv"]
+    assert d.U @ a == diagonal_matrix(2, 1, (1,))
+    # _random_ops, which feeds the arbitrary logs above, logs such runs too
+    logs = [_flat(_random_ops(rng, 3, 8)) for _ in range(20)]
+    assert max(length for log in logs for _, length in _runs(log)) > 20
+
+
+def test_replay_checks_each_operation_inside_a_run():
+    # a malformed operation right after an open run of two additions is
+    # refused by verify, by _act and by every witness, as operation 2, with
+    # the messages of a malformed operation anywhere else
+    run = [ADD, 0, 1, 2, ADD, 1, 0, -1]
+    malformed = [
+        ([ADD, 1, 1, 5], "adds a {side} to itself"),
+        ([ADD, 1, 2, 5], "has an index out of range"),
+        ([ADD, 1, -1, 5], "has an index out of range"),
+        ([9, 1, 0, 5], "has no kind 9"),
+    ]
+    for op, problem in malformed:
+        for side, witnesses in (("row", ("U", "u_inv")), ("column", ("V", "v_inv"))):
+            log = run + op
+            d = SmithDecomposition((2, 2), (1, 1), *((log, []) if side == "row" else ([], log)))
+            message = f"Smith decomposition failed: {side} operation 2 {problem.format(side=side)}"
+            for which in witnesses:
+                with pytest.raises(RuntimeError) as err:
+                    getattr(d, which)
+                assert str(err.value) == message
+                with pytest.raises(RuntimeError) as err:
+                    d._act(which, [[1], [2]])
+                assert str(err.value) == message
+            with pytest.raises(RuntimeError) as err:
+                d.verify(IntMatrix(2, 2, [[1, 0], [0, 1]]))
+            assert str(err.value) == message
+    # a changed middle multiplier of the longest run of a real 48 x 48 log
+    # is no longer the reduction of A
+    rng = random.Random(2026)
+    a = IntMatrix(48, 48, [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)])
+    d = smith_normal_form(a)
+    start, longest = max(_runs(d.row_log), key=lambda run: run[1])
+    assert longest > 50
+    middle = start + longest // 2
+    kind, i, t, q = _ops(d.row_log)[middle]
+    mutant = d._replace(row_log=_with_op(d.row_log, middle, (kind, i, t, q + 1)))
+    with pytest.raises(
+        RuntimeError, match=r"replay (leaves .* off the diagonal|gives .* the diagonal has)"
+    ):
+        mutant.verify(a)
 
 
 def test_snf_pivots_on_negative_rounded_residues():
