@@ -5,15 +5,20 @@ matrices are rows of Python ints, and the integers of matrices, cochains,
 documents and Smith logs are checked by one rule, stable_tables._all_ints.
 A Smith decomposition U A V = D keeps its diagonal and a log each of the
 elementary row and column operations that reduced A to D.  _operations
-checks that a log is integer quadruples, and one interpreter, _replay,
-checks each operation as it meets it and applies it to rows, with
-arithmetic apart from the elimination's; a run of additions between the
-same two rows, such as a Euclid run of the elimination, is applied as the
-one 2 x 2 integer matrix it multiplies to.  Replayed on A, the logs certify
-the decomposition: each operation is an elementary integer matrix of
-determinant +-1, so a replay that ends exactly at D proves U A V = D with U
-and V unimodular.  Replayed on the rows of a matrix, a log multiplies them
-by U, V or their inverses, which are never stored.  Matrix products skip
+checks that a log is integer quadruples, and one interpreter checks each
+operation as it meets it and applies it: _apply_rows to whole rows, in
+place, with _replay as its copying form, and _apply_columns to whole
+columns; a run of additions between the same two rows, such as a Euclid
+run of the elimination, is applied as the one 2 x 2 integer matrix it
+multiplies to.  The logs certify the decomposition: each operation is an
+elementary integer matrix of determinant +-1, so a replay on A that ends
+exactly at D proves U A V = D with U and V unimodular.  The elimination
+changes its working matrix only by handing each operation it logs to the
+interpreter, so its construction is that replay, checked as it is built;
+SmithDecomposition.verify replays the logs on A afresh, for a
+decomposition from elsewhere.  Replayed on the rows of a matrix, a log
+multiplies them by U, V or their inverses, which are never stored.
+Matrix products skip
 zero entries and treat +-1 as addition and subtraction, which suits the
 sparse 0/+-1 boundary matrices of cell complexes.  A complex reads the
 nonzero columns of each boundary row once; the check that boundaries
@@ -99,15 +104,6 @@ def _check_degree_count(top_dim: int) -> None:
         )
 
 
-def _axpy(x: list[int], y: list[int], c: int) -> list[int]:
-    """The row x + c * y, with c = +-1 as plain addition or subtraction."""
-    if c == 1:
-        return list(map(add, x, y))
-    if c == -1:
-        return list(map(sub, x, y))
-    return [p + c * q for p, q in zip(x, y)]
-
-
 def _check_integers(values, what: str) -> None:
     """Refuse values that are not all integers, naming the first that is not."""
     if not _all_ints(values):
@@ -174,7 +170,13 @@ class IntMatrix:
         for row in self.data:
             acc = [0] * width
             for j in compress(range(self.cols), row):
-                acc = _axpy(acc, b[j], row[j])
+                x = row[j]
+                if x == 1:
+                    acc = list(map(add, acc, b[j]))
+                elif x == -1:
+                    acc = list(map(sub, acc, b[j]))
+                else:
+                    acc = [p + x * y for p, y in zip(acc, b[j])]
             out.append(acc)
         return IntMatrix._trusted(self.rows, width, out)
 
@@ -206,40 +208,48 @@ class IntMatrix:
 _SWAP, _NEG, _ADD = _KINDS = range(3)
 
 
-def _operations(side: str, log: list[int]):
-    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a flat log;
-    RuntimeError naming the side, at once, unless the log is integer quadruples."""
-    if len(log) % 4 or not _all_ints(log):
+def _operations(side: str, log: list[int], start: int = 0):
+    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a
+    flat log from its position start, a multiple of 4, on; RuntimeError
+    naming the side, at once, unless that part of the log is integer
+    quadruples."""
+    part = log[start:]
+    if len(part) % 4 or not _all_ints(part):
         raise RuntimeError(f"Smith decomposition failed: {side} log is not integer quadruples")
-    return zip(repeat(side), count(), *[iter(log)] * 4)
+    return zip(repeat(side), count(start // 4), *[iter(part)] * 4)
 
 
-def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
-    """The rows after the operations ops, (side, k, kind, i, t, q) each for
-    operation k of the side's log, in order; the input is unchanged.  A swap
+def _check_operation(side: str, k: int, kind: int, i: int, t: int, size: int) -> None:
+    """RuntimeError naming side and k if operation k has an unknown kind, has
+    i or t outside range(size), or adds a row (or column) to itself, which
+    would scale it by 1 + q."""
+    problem = (
+        f"has no kind {kind}" if kind not in _KINDS
+        else "has an index out of range" if not (0 <= i < size and 0 <= t < size)
+        else f"adds a {side} to itself" if kind == _ADD and i == t else None
+    )
+    if problem:
+        raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
+
+
+def _apply_rows(rows: list[list[int]], ops, sign: int = 1) -> None:
+    """Apply the operations ops, (side, k, kind, i, t, q) each for operation
+    k of the side's log, in order, to the rows of a matrix, in place.  A swap
     swaps rows i and t, a negation negates row i, an addition adds
-    sign * q * row t to row i.  The one interpreter of the operations, it
-    raises RuntimeError naming side and k on an unknown kind, on i or t
-    outside range(len(rows)), and on a row added to itself (scaled by 1 + q).
+    sign * q * row t to row i; a changed row is a new list, and no row list
+    is written to.  The one interpreter of the row operations, it checks
+    each with _check_operation as it meets it.
 
-    Each operation is checked as it is met, but consecutive additions
-    between the same two rows, in either direction (a Euclid run), are
-    multiplied into one pending 2 x 2 integer matrix, which is applied to
-    the two whole rows when the run ends; a run of one addition is one
-    whole-row addition."""
-    rows = list(rows)
+    Consecutive additions between the same two rows, in either direction (a
+    Euclid run), are multiplied into one pending 2 x 2 integer matrix, which
+    is applied to the two whole rows when the run ends; a run of one
+    addition is one whole-row addition."""
     size = len(rows)
     # the open run: n additions between rows a and b, which together make
     # row a, row b := e * row a + f * row b, g * row a + h * row b
     a = b = n = e = f = g = h = 0
     for side, k, kind, i, t, q in ops:
-        problem = (
-            f"has no kind {kind}" if kind not in _KINDS
-            else "has an index out of range" if not (0 <= i < size and 0 <= t < size)
-            else f"adds a {side} to itself" if kind == _ADD and i == t else None
-        )
-        if problem:
-            raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
+        _check_operation(side, k, kind, i, t, size)
         if kind == _ADD:
             c = sign * q
             if n and i == a and t == b:
@@ -265,11 +275,10 @@ def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
                 rows[i] = [-x for x in rows[i]]
     if n:
         _close_run(rows, a, b, n, e, f, g, h)
-    return rows
 
 
 def _close_run(rows, a, b, n, e, f, g, h) -> None:
-    """Apply _replay's run of n additions between rows a and b to the two
+    """Apply _apply_rows's run of n additions between rows a and b to the two
     whole rows: row a, row b := e * row a + f * row b, g * row a + h * row b.
     A run of one addition (e, g, h = 1, 0, 1) adds f * row b to row a alone;
     the length, not the matrix, says so, since a longer run may bring g back
@@ -280,6 +289,42 @@ def _close_run(rows, a, b, n, e, f, g, h) -> None:
     else:
         rows[a] = [e * x + f * y for x, y in zip(ra, rb)]
         rows[b] = [g * x + h * y for x, y in zip(ra, rb)]
+
+
+def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
+    """The rows after _apply_rows(rows, ops, sign); the input is unchanged."""
+    rows = list(rows)
+    _apply_rows(rows, ops, sign)
+    return rows
+
+
+def _apply_columns(rows: list[list[int]], ops, size: int) -> None:
+    """Apply the column operations ops, (side, k, kind, i, t, q) each, in
+    order, to the rows of a matrix with size columns, in place: a swap of
+    columns i and t and a negation of column i act on every row, and
+    column i += q * column t reads column t of every row and changes entry
+    i of those where it is nonzero, an exact skip.  Each operation is
+    checked with _check_operation as it is met.
+
+    The rows where column t is nonzero are found once for consecutive
+    additions from the same column t: an addition changes column i != t
+    alone, so column t stays as it was until a swap or a negation."""
+    source = None
+    for side, k, kind, i, t, q in ops:
+        _check_operation(side, k, kind, i, t, size)
+        if kind == _ADD:
+            if t != source:
+                source, live = t, [row for row in rows if row[t]]
+            for row in live:
+                row[i] += q * row[t]
+        else:
+            source = None
+            if kind == _SWAP:
+                for row in rows:
+                    row[i], row[t] = row[t], row[i]
+            else:
+                for row in rows:
+                    row[i] = -row[i]
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log col_log")):
@@ -363,44 +408,56 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         have determinant -1, and row (or column) i += q * row (or column) t
         with i != t and q an integer is unitriangular, of determinant 1, so
         U and V, the products of the row and of the column log, are integer
-        matrices of determinant +-1, with integer inverses.  _replay's
-        additions are written apart from the elimination's (_axpy and the
-        pair step's row combinations) and act on whole rows and columns, a
-        run of them between the same two rows as the 2 x 2 product of their
-        elementary matrices, so neither the elimination's arithmetic nor its
-        reliance on rows that are zero left of the pivot column (it adds
-        only their live suffixes) or on a pivot column that is zero off the
-        pivot is trusted.
+        matrices of determinant +-1, with integer inverses.
+
+        smith_normal_form makes the same checks as it builds a
+        decomposition, whose working matrix changes only through the
+        interpreter, so it does not call this method: verify is the public
+        re-check, for a decomposition that was stored, passed along or
+        edited.  It applies the whole row log before the whole column log,
+        where the elimination interleaves them; the two sides commute.
         """
         m, n = self.shape
-        diag = self.diag
-        if a.shape != self.shape or len(diag) != min(m, n):
+        if a.shape != self.shape or len(self.diag) != min(m, n):
             raise RuntimeError("Smith decomposition failed: shapes")
-        if not _all_ints(diag):
-            raise RuntimeError("Smith decomposition failed: diagonal is not integers")
-        for i, d in enumerate(diag):
-            if d < 0:
-                raise RuntimeError("Smith decomposition failed: negative diagonal")
-            if i and diag[i - 1] == 0 and d != 0:
-                raise RuntimeError("Smith decomposition failed: zeros must trail")
-            if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
-                raise RuntimeError("Smith decomposition failed: divisibility chain")
+        _check_diagonal(self.diag)
         row_ops, col_ops = _operations("row", self.row_log), _operations("column", self.col_log)
         # (U A)^T, n empty rows if m == 0, then U A V, no rows (no entries) if n == 0
         s = [list(c) for c in zip(*_replay(a.data, row_ops))] or [[]] * n
         s = [list(c) for c in zip(*_replay(s, col_ops))]
-        for i, row in enumerate(s):
-            if i < n and row[i] != diag[i]:
-                raise RuntimeError(
-                    f"Smith decomposition failed: replay gives {row[i]} at ({i}, {i}), "
-                    f"the diagonal has {diag[i]}"
-                )
-            if any(row[:i]) or any(row[i + 1 :]):
-                j = next(j for j, x in enumerate(row) if x and j != i)
-                raise RuntimeError(
-                    f"Smith decomposition failed: replay leaves {row[j]} at ({i}, {j}), "
-                    "off the diagonal"
-                )
+        _check_reached(s, self.diag)
+
+
+def _check_diagonal(diag) -> None:
+    """RuntimeError unless diag has the form of a Smith diagonal: integers,
+    nonnegative, zeros trailing, each nonzero entry dividing the next."""
+    if not _all_ints(diag):
+        raise RuntimeError("Smith decomposition failed: diagonal is not integers")
+    for i, d in enumerate(diag):
+        if d < 0:
+            raise RuntimeError("Smith decomposition failed: negative diagonal")
+        if i and diag[i - 1] == 0 and d != 0:
+            raise RuntimeError("Smith decomposition failed: zeros must trail")
+        if i and diag[i - 1] != 0 and d % diag[i - 1] != 0:
+            raise RuntimeError("Smith decomposition failed: divisibility chain")
+
+
+def _check_reached(rows: list[list[int]], diag) -> None:
+    """RuntimeError, naming the first entry that differs, unless the matrix
+    given by its rows, as a replay of the logs leaves it, is exactly the
+    matrix with diag on its diagonal."""
+    for i, row in enumerate(rows):
+        if i < len(row) and row[i] != diag[i]:
+            raise RuntimeError(
+                f"Smith decomposition failed: replay gives {row[i]} at ({i}, {i}), "
+                f"the diagonal has {diag[i]}"
+            )
+        if any(row[:i]) or any(row[i + 1 :]):
+            j = next(j for j, x in enumerate(row) if x and j != i)
+            raise RuntimeError(
+                f"Smith decomposition failed: replay leaves {row[j]} at ({i}, {j}), "
+                "off the diagonal"
+            )
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -424,10 +481,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     step saves most of the passes over every row, and since it follows a
     full pass, its quotients stay below the pivot, which keeps entries
     nearly as narrow as the passes alone do.  Euclid runs on the two
-    column-t entries alone and logs each of its additions; the cofactors
-    it carries give the two rows as integer combinations of the pivot row
-    and the partner, and their live suffixes are written once.  The pivot
-    row is then reduced by column additions with floor division; a
+    column-t entries alone and logs each of its additions, and the
+    interpreter applies the run to the two rows as one 2 x 2 transform.
+    The pivot row is then reduced by column additions with floor division; a
     remainder there, rare once the pivot is a unit, sends the step back to
     the block scan.  A final
     fold guarantees the pivot divides the remaining block before advancing,
@@ -435,19 +491,35 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     everything, so it needs no fold).  Entries are arbitrary-precision, so
     coefficient growth only ever costs time, never correctness.
 
-    Only the working matrix is updated; each operation is appended to its
-    side's log instead of being applied to witnesses.  Rows t and below are
-    zero left of column t, so a row addition updates only their live suffix
-    from column t on, and a column operation changes only the pivot row,
-    because the pivot column is zero off the pivot by then.  The diagonal is
-    read off the reduced working matrix, and the result is checked exactly
-    by SmithDecomposition.verify, which replays the logs on A with whole
-    rows and columns, before it is returned.
+    The elimination has no arithmetic of its own on the working matrix: it
+    appends operations to its logs and reads the matrix to decide the next
+    ones.  Each operation reaches the matrix through the interpreter, which
+    checks it and applies it to whole rows (_apply_rows) or whole columns
+    (_apply_columns).  A clearing pass adds row t to distinct other rows
+    and never changes row t, so its quotients are all decided from column
+    t, logged in row order and applied in one call, and the residues are
+    read back from the matrix; the pivot row's column quotients likewise.
+    So the construction is itself the replay of the logs on A, and each
+    part of a log is checked to be integer quadruples by _operations as it
+    is applied.  It ends by checking that the matrix is exactly diagonal
+    and that its diagonal has the form of a Smith diagonal: the result has
+    passed every check of SmithDecomposition.verify, which is not called
+    again.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
     row_log: list[int] = []
     col_log: list[int] = []
+    played = [0, 0]
+
+    def play() -> None:
+        """Apply to s, through the interpreter, the operations logged since
+        the last call."""
+        if len(row_log) > played[0]:
+            _apply_rows(s, _operations("row", row_log, played[0]))
+        if len(col_log) > played[1]:
+            _apply_columns(s, _operations("column", col_log, played[1]), n)
+        played[:] = len(row_log), len(col_log)
 
     t = 0
     while t < m and t < n:
@@ -462,79 +534,73 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             break
         pj = next(j for j in range(t, n) if abs(s[pi][j]) == best)
         if pi != t:
-            s[t], s[pi] = s[pi], s[t]
             row_log += (_SWAP, t, pi, 0)
         if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
             col_log += (_SWAP, t, pj, 0)
+        play()
         while True:
             # clear column t below the pivot, or find the least residue there
             if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
                 row_log += (_NEG, t, t, 0)
+                play()
             pivot = s[t][t]
-            live = s[t][t:]
-            best = 0
             for i in range(t + 1, m):
                 x = s[i][t]
                 if x:
                     q = (2 * x + pivot) // (2 * pivot)
                     if q:
-                        s[i][t:] = _axpy(s[i][t:], live, -q)
                         row_log += (_ADD, i, t, -q)
-                        x = s[i][t]
-                    if x and (not best or abs(x) < best):
-                        best, pi = abs(x), i
+            play()
+            best = 0
+            for i in range(t + 1, m):
+                x = s[i][t]
+                if x and (not best or abs(x) < best):
+                    best, pi = abs(x), i
             if not best:
                 break
             # the pair step: Euclid on the pivot row P and the partner B, the
             # row with the least residue among those that reach the gcd g of
             # column t with the pivot, leaves +-g in one of them.  It runs on
-            # the two column-t entries alone, carrying the cofactors of rows
-            # x and y in P and B, and writes the two live suffixes once.
+            # the two column-t entries alone; the interpreter applies the run
+            # it logs to the two rows as one 2 x 2 transform.
             g = math.gcd(pivot, *(row[t] for row in s[t + 1 :]))
             partners = [i for i in range(t + 1, m) if math.gcd(pivot, s[i][t]) == g]
             if partners:
                 x, y = t, min(partners, key=lambda i: abs(s[i][t]))
-                row_p, row_b = s[x][t:], s[y][t:]
-                # row x is vx in column t and ex * P + fx * B; row y likewise
-                vx, ex, fx, vy, ey, fy = row_p[0], 1, 0, row_b[0], 0, 1
+                vx, vy = s[x][t], s[y][t]
                 while vy:
                     q = (2 * vx + vy) // (2 * vy)
                     row_log += (_ADD, x, y, -q)
-                    x, y = y, x
-                    vx, ex, fx, vy, ey, fy = vy, ey, fy, vx - q * vy, ex - q * ey, fx - q * fy
-                s[x][t:] = [ex * p + fx * b for p, b in zip(row_p, row_b)]
-                s[y][t:] = [ey * p + fy * b for p, b in zip(row_p, row_b)]
+                    x, y, vx, vy = y, x, vy, vx - q * vy
                 pi = x
             if pi != t:
-                s[t], s[pi] = s[pi], s[t]
                 row_log += (_SWAP, t, pi, 0)
+            play()
+        # column j -= q * column t changes column j alone, so every quotient
+        # is read off the pivot row before any is applied
         pivot_row = s[t]
         for j in range(t + 1, n):
             if pivot_row[j]:
                 q = pivot_row[j] // pivot
                 if q:
-                    # column j -= q * column t, which is zero off row t
-                    pivot_row[j] -= q * pivot
                     col_log += (_ADD, j, t, -q)
-        if any(pivot_row[t + 1 :]):
+        play()
+        if any(s[t][t + 1 :]):
             continue
         if pivot != 1:
             offender = next(
                 (i for i in range(t + 1, m) if any(x % pivot for x in s[i][t + 1 :])), None
             )
             if offender is not None:
-                s[t][t:] = _axpy(s[t][t:], s[offender][t:], 1)
                 row_log += (_ADD, t, offender, 1)
+                play()
                 continue
         t += 1
 
     diag = tuple(s[i][i] for i in range(min(m, n)))
-    decomposition = SmithDecomposition((m, n), diag, row_log, col_log)
-    decomposition.verify(a)
-    return decomposition
+    _check_diagonal(diag)
+    _check_reached(s, diag)
+    return SmithDecomposition((m, n), diag, row_log, col_log)
 
 
 def _blocks(a: IntMatrix, supports) -> list[list[list[int]]]:

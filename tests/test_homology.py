@@ -423,9 +423,10 @@ def test_witnesses_refuse_malformed_logs():
                 assert getattr(d, which) == IntMatrix.identity(2)
 
 
-def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkeypatch):
-    # the replay is written apart from _axpy, which the elimination uses: with
-    # _axpy broken, verify, the witnesses and _act give what they gave before
+def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeypatch):
+    # the elimination has no arithmetic of its own on the working matrix: it
+    # hands every operation it logs to the interpreter, once and in log
+    # order, so the construction is itself the replay of its logs on A
     rng = random.Random(18)
     cases = []
     for _ in range(30):
@@ -439,14 +440,53 @@ def test_witness_actions_and_verify_do_not_use_the_elimination_arithmetic(monkey
         acted = {w: d._act(w, rows[w]) for w in WITNESSES}
         cases.append((a, d, rows, witnesses, acted))
 
-    def broken(*args):
-        raise AssertionError("_axpy called")
+    apply_rows, apply_columns = homology._apply_rows, homology._apply_columns
+    seen = {"row": [], "column": []}
 
-    monkeypatch.setattr(homology, "_axpy", broken)
-    # the patch is live: the elimination clears 3 under the pivot 2 with _axpy
+    def rows_seen(rows, ops, sign=1):
+        ops = list(ops)
+        seen["row"] += ops
+        apply_rows(rows, ops, sign)
+
+    def columns_seen(rows, ops, size):
+        ops = list(ops)
+        seen["column"] += ops
+        apply_columns(rows, ops, size)
+
+    monkeypatch.setattr(homology, "_apply_rows", rows_seen)
+    monkeypatch.setattr(homology, "_apply_columns", columns_seen)
+    for a, d, *_ in cases:
+        seen = {"row": [], "column": []}
+        assert smith_normal_form(a) == d
+        for side, log in (("row", d.row_log), ("column", d.col_log)):
+            assert seen[side] == [(side, k, *op) for k, op in enumerate(_ops(log))]
+
+    # with the interpreter refusing everything, the elimination fails at its
+    # first operation on either side: it changes nothing by itself
+    def refuse(rows, ops, *args):
+        raise AssertionError(next(iter(ops)))
+
+    for target, a, first in (
+        ("_apply_rows", [[2], [3]], ("row", 0, ADD, 1, 0, -2)),
+        ("_apply_columns", [[2, 3]], ("column", 0, ADD, 1, 0, -1)),
+    ):
+        monkeypatch.setattr(homology, target, refuse)
+        with pytest.raises(AssertionError) as err:
+            smith_normal_form(IntMatrix(len(a), len(a[0]), a))
+        assert err.value.args[0] == first
+        monkeypatch.undo()
+
+    # the one other arithmetic on rows in the module, the matrix product, is
+    # not used: with it broken, the elimination, verify, the witnesses and
+    # _act give what they gave before
+    def broken(*args):
+        raise AssertionError("IntMatrix.__matmul__ called")
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", broken)
     with pytest.raises(AssertionError):
-        smith_normal_form(IntMatrix(2, 1, [[2], [3]]))
+        IntMatrix.identity(1) @ IntMatrix.identity(1)
     for a, d, rows, witnesses, acted in cases:
+        assert smith_normal_form(a) == d
         d.verify(a)
         assert {w: getattr(d, w) for w in WITNESSES} == witnesses
         assert {w: d._act(w, rows[w]) for w in WITNESSES} == acted
@@ -541,6 +581,16 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
             x = IntMatrix(w.cols, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in w.data])
             assert decomposition._act(which, x.data) == (w @ x).data
             assert getattr(decomposition, which) == w
+        # in place, the row log acts on the rows of M as U @ M, and the
+        # column log on the columns of M as M @ V
+        x = IntMatrix(m, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in range(m)])
+        rows = x.to_lists()
+        homology._apply_rows(rows, homology._operations("row", _flat(ops["row"])))
+        assert rows == (oracle["U"] @ x).data
+        x = IntMatrix(3, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)])
+        rows = x.to_lists()
+        homology._apply_columns(rows, homology._operations("column", _flat(ops["column"])), n)
+        assert rows == (x @ oracle["V"]).data
         # A = u_inv D v_inv reduces to D by the logs
         target = diagonal_matrix(m, n, diag)
         a = oracle["u_inv"] @ target @ oracle["v_inv"]
@@ -564,6 +614,20 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
             with pytest.raises(RuntimeError, match="replay"):
                 mutant.verify(a)
     assert unusual_orders and column_negations and refused
+    # the column application refuses a malformed operation as it meets it,
+    # with the row replay's messages: here after one swap it has applied
+    for op, problem in (
+        ([ADD, 1, 1, 5], "adds a column to itself"),
+        ([SWAP, 0, 2, 0], "has an index out of range"),
+        ([NEG, -1, -1, 0], "has an index out of range"),
+        ([ADD, 0, -2, 1], "has an index out of range"),
+        ([9, 0, 1, 0], "has no kind 9"),
+    ):
+        rows = [[1, 2], [3, 4]]
+        with pytest.raises(RuntimeError) as err:
+            homology._apply_columns(rows, homology._operations("column", [SWAP, 0, 1, 0] + op), 2)
+        assert str(err.value) == f"Smith decomposition failed: column operation 1 {problem}"
+        assert rows == [[2, 1], [4, 3]]
 
 
 def _runs(log):
