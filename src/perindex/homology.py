@@ -6,21 +6,19 @@ documents and Smith logs are checked by one rule, stable_tables._all_ints.
 A Smith decomposition U A V = D keeps its diagonal and a log each of the
 elementary row and column operations that reduced A to D.  _operations
 checks that a log is integer quadruples, and one interpreter checks each
-operation as it meets it and applies it: _apply_rows to whole rows, in
-place, with _replay as its copying form, and _apply_columns to whole
-columns; a run of additions between the same two rows, such as a Euclid
-run of the elimination, is applied as the one 2 x 2 integer matrix it
-multiplies to.  The logs certify the decomposition: each operation is an
-elementary integer matrix of determinant +-1, so a replay on A that ends
-exactly at D proves U A V = D with U and V unimodular.  The elimination
+operation as it meets it and applies it, in place: _apply_rows to whole
+rows and _apply_columns to whole columns; a run of additions between the
+same two rows, such as a Euclid run of the elimination, is applied as the
+one 2 x 2 integer matrix it multiplies to.  The logs certify the
+decomposition: each operation is an elementary integer matrix of
+determinant +-1, so a replay on A that ends exactly at D proves U A V = D
+with U and V unimodular.  The elimination
 changes its working matrix only by handing each operation it logs to the
 interpreter, so its construction is that replay, checked as it is built;
-SmithDecomposition.verify replays the logs on A afresh, for a
-decomposition from elsewhere.  Replayed on the rows of a matrix, a log
-multiplies them by U, V or their inverses, which are never stored.
-Matrix products skip
-zero entries and treat +-1 as addition and subtraction, which suits the
-sparse 0/+-1 boundary matrices of cell complexes.  A complex reads the
+SmithDecomposition.verify replays the logs on a copy of A afresh, through
+the same two functions, for a decomposition from elsewhere.  Replayed on
+the rows of a matrix, a log multiplies them by U, V or their inverses,
+which are never stored.  A complex reads the
 nonzero columns of each boundary row once; the check that boundaries
 compose to zero accumulates over those entries alone, and they cut each
 boundary into the connected blocks of its nonzero pattern.  Cohomology groups, and the connecting map of the
@@ -47,7 +45,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import compress, count, repeat
-from operator import add, sub
 
 from .stable_tables import FinAbGroup, _all_ints, _read_json
 
@@ -161,8 +158,7 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product is the sum of a * (row j of other) over the
-        nonzero entries a = self[i][j], with a = +-1 as plain addition or
-        subtraction."""
+        nonzero entries a = self[i][j]."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         b, width = other.data, other.cols
@@ -171,12 +167,7 @@ class IntMatrix:
             acc = [0] * width
             for j in compress(range(self.cols), row):
                 x = row[j]
-                if x == 1:
-                    acc = list(map(add, acc, b[j]))
-                elif x == -1:
-                    acc = list(map(sub, acc, b[j]))
-                else:
-                    acc = [p + x * y for p, y in zip(acc, b[j])]
+                acc = [p + x * y for p, y in zip(acc, b[j])]
             out.append(acc)
         return IntMatrix._trusted(self.rows, width, out)
 
@@ -291,13 +282,6 @@ def _close_run(rows, a, b, n, e, f, g, h) -> None:
         rows[b] = [g * x + h * y for x, y in zip(ra, rb)]
 
 
-def _replay(rows: list[list[int]], ops, sign: int = 1) -> list[list[int]]:
-    """The rows after _apply_rows(rows, ops, sign); the input is unchanged."""
-    rows = list(rows)
-    _apply_rows(rows, ops, sign)
-    return rows
-
-
 def _apply_columns(rows: list[list[int]], ops, size: int) -> None:
     """Apply the column operations ops, (side, k, kind, i, t, q) each, in
     order, to the rows of a matrix with size columns, in place: a swap of
@@ -341,7 +325,8 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
     are not stored: _act applies one to the rows of a matrix by replaying a
     log, the row log for U and u_inv, the column log for V and v_inv, and
     each witness property builds its matrix that way, anew on every read.
-    Like verify, they read a log only through _operations and _replay.
+    Like verify, they read a log only through _operations and the
+    interpreter: _act hands the rows to _apply_rows.
     """
 
     __slots__ = ()
@@ -355,7 +340,8 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
 
     def _act(self, which: str, rows: list[list[int]]) -> list[list[int]]:
         """The rows of W @ M, for the witness W named by which ("U", "u_inv",
-        "V" or "v_inv") and M given by its rows, by _replay on them.
+        "V" or "v_inv") and M given by its rows, by _apply_rows on a shallow
+        copy of their list; the caller's rows are unchanged.
 
         U replays the row log in order, u_inv its inverse, of sign -1, in
         reverse.  Column i += q * column t is a right factor I + q e_t e_i^T,
@@ -370,7 +356,9 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
             ops = [(side, k, kind, t, i, q) for side, k, kind, i, t, q in ops]
         if which in ("u_inv", "V"):
             ops.reverse()
-        return _replay(rows, ops, 1 if which in ("U", "V") else -1)
+        rows = list(rows)
+        _apply_rows(rows, ops, 1 if which in ("U", "V") else -1)
+        return rows
 
     def _witness(self, which: str) -> IntMatrix:
         n = self.shape[0 if which in ("U", "u_inv") else 1]
@@ -399,9 +387,10 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         The shapes, including the length of the diagonal, and its form
         (integers, nonnegative, zeros trailing, the divisibility chain) are
         read off directly, and _operations checks each log's quadruples.
-        Then _replay, checking each operation, applies the row log to the
-        rows of A and the column log to the rows of (U A)^T; the two sides
-        commute, so transposed back that is U A V, which must be exactly D.
+        Then, on a copy of the rows of A, _apply_rows applies the row log
+        and _apply_columns the column log, each checking every operation as
+        it meets it, as in the construction; that leaves U A V, which must
+        be exactly D.
 
         This proves U @ A @ V == D with U and V unimodular.  Each operation
         multiplies by an elementary integer matrix: a swap and a negation
@@ -422,9 +411,9 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
             raise RuntimeError("Smith decomposition failed: shapes")
         _check_diagonal(self.diag)
         row_ops, col_ops = _operations("row", self.row_log), _operations("column", self.col_log)
-        # (U A)^T, n empty rows if m == 0, then U A V, no rows (no entries) if n == 0
-        s = [list(c) for c in zip(*_replay(a.data, row_ops))] or [[]] * n
-        s = [list(c) for c in zip(*_replay(s, col_ops))]
+        s = [row[:] for row in a.data]
+        _apply_rows(s, row_ops)
+        _apply_columns(s, col_ops, n)
         _check_reached(s, self.diag)
 
 

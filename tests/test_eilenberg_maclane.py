@@ -14,6 +14,8 @@ is (-1)^q (chi - 1), with chi the Euler characteristic.
 
 from eilenberg_maclane import k_z_l_2
 
+from perindex.ahss import TwistedShape, best_upper_bound
+from perindex.bounds import lower_bound_skeleton
 from perindex.homology import bockstein, cohomology_Z, smith_normal_form
 
 from brute_force import euler_characteristic
@@ -49,3 +51,33 @@ def test_the_elimination_on_the_top_boundary_of_the_5_skeleton():
     assert d.rank == 38
     assert [x for x in d.diag if x != 1] == [4, 0, 0, 0]
     d.verify(a)
+
+
+# (l, top degree q): the lower and the upper bound on the index of the
+# canonical period-l class of the q-skeleton
+SANDWICH = {(2, 4): (2, 2), (2, 5): (2, 8), (3, 4): (3, 3)}
+
+
+def test_the_index_sandwich_on_the_skeleta_of_k_z_l_2():
+    # the paper's headline spaces (Antieau-Williams, arXiv:1104.4654): the
+    # skeleta of K(Z/l, 2) carry a class of period l whose index the two
+    # independent sides pin between a closed form and computed groups
+    for (l, q), (lower, upper) in SANDWICH.items():
+        c = k_z_l_2(l, q)
+        # the class: H^3 = Ext(H_2, Z) = Z/l by Hurewicz and the universal
+        # coefficient theorem, and the Bockstein from H^2(X; Z/l) =
+        # Hom(H_2, Z/l) = Z/l onto it is an isomorphism, since H^2 = 0 and
+        # H^3 has exponent l: it names the class as the image of iota
+        h3 = cohomology_Z(c, 3)
+        assert (h3.free_rank, h3.torsion) == (0, (l,)), (l, q)
+        assert bockstein(c, 2, l).is_isomorphism(), (l, q)
+        # lower: the paper's cup-power bound on the q-skeleton, the
+        # (a + 1)-skeleton with a = q - 1: n(l, [(q - 2) / 2]) divides the index
+        low = lower_bound_skeleton(l, q - 1).bound
+        # upper: the gcd of the paper's bounds on the computed shape; in
+        # dimension 4 its twisted K-theory spectral sequence bound collapses
+        # to the period, and at q = 5 it is l times the l-primary exponent of
+        # H^5, here 2 * 4, with tors H^5 = Gamma(Z/2) = Z/4 (Whitehead, above)
+        high = best_upper_bound(TwistedShape.from_complex(c, l)).bound
+        assert (low, high) == (lower, upper), (l, q)
+        assert high % low == 0, (l, q)

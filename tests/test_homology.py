@@ -441,25 +441,38 @@ def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeyp
         cases.append((a, d, rows, witnesses, acted))
 
     apply_rows, apply_columns = homology._apply_rows, homology._apply_columns
-    seen = {"row": [], "column": []}
+    calls = []
 
     def rows_seen(rows, ops, sign=1):
         ops = list(ops)
-        seen["row"] += ops
+        calls.append(("_apply_rows", ops, sign))
         apply_rows(rows, ops, sign)
 
     def columns_seen(rows, ops, size):
         ops = list(ops)
-        seen["column"] += ops
+        calls.append(("_apply_columns", ops, size))
         apply_columns(rows, ops, size)
 
     monkeypatch.setattr(homology, "_apply_rows", rows_seen)
     monkeypatch.setattr(homology, "_apply_columns", columns_seen)
     for a, d, *_ in cases:
-        seen = {"row": [], "column": []}
+        logged = {
+            side: [(side, k, *op) for k, op in enumerate(_ops(log))]
+            for side, log in (("row", d.row_log), ("column", d.col_log))
+        }
+        calls.clear()
         assert smith_normal_form(a) == d
-        for side, log in (("row", d.row_log), ("column", d.col_log)):
-            assert seen[side] == [(side, k, *op) for k, op in enumerate(_ops(log))]
+        for target, side in (("_apply_rows", "row"), ("_apply_columns", "column")):
+            assert [op for name, ops, _ in calls if name == target for op in ops] == logged[side]
+        # verify replays a decomposition the way the construction builds it,
+        # through the same two functions: the whole row log in one call, of
+        # sign 1, then the whole column log in one call, on a.cols columns
+        calls.clear()
+        d.verify(a)
+        assert calls == [
+            ("_apply_rows", logged["row"], 1),
+            ("_apply_columns", logged["column"], a.cols),
+        ]
 
     # with the interpreter refusing everything, the elimination fails at its
     # first operation on either side: it changes nothing by itself
