@@ -5,22 +5,22 @@ matrices are rows of Python ints, and the integers of matrices, cochains,
 documents and Smith logs are checked by one rule, stable_tables._all_ints.
 A Smith decomposition U A V = D keeps its diagonal and a log each of the
 elementary row and column operations that reduced A to D.  _operations
-checks that a log is integer quadruples, and one interpreter checks each
-operation as it meets it and applies it, in place: _apply_rows to whole
-rows and _apply_columns to whole columns; a run of additions between the
-same two rows, such as a Euclid run of the elimination, is applied as the
-one 2 x 2 integer matrix it multiplies to.  The logs certify the
+checks each part of a log, whole, before any of it is applied, and one
+interpreter only applies it, in place: _apply_rows to whole rows and
+_apply_columns to whole columns; a run of additions between the same two
+rows, such as a Euclid run of the elimination, is applied as the one
+2 x 2 integer matrix it multiplies to.  The logs certify the
 decomposition: each operation is an elementary integer matrix of
 determinant +-1, so a replay on A that ends exactly at D proves U A V = D
-with U and V unimodular.  The elimination
-changes its working matrix only by handing each operation it logs to the
+with U and V unimodular.  The elimination changes its working matrix only
+by handing each part of a log it writes, through _operations, to the
 interpreter, so its construction is that replay, checked as it is built;
 SmithDecomposition.verify replays the logs on a copy of A afresh, through
-the same two functions, for a decomposition from elsewhere.  Replayed on
-the rows of a matrix, a log multiplies them by U, V or their inverses,
-which are never stored.  A complex reads the
-nonzero columns of each boundary row once; the check that boundaries
-compose to zero accumulates over those entries alone, and they cut each
+the same functions, for a decomposition from elsewhere.  Replayed on the
+rows of a matrix, a log multiplies them by U, V or their inverses, which
+are never stored.  A complex reads the nonzero columns of each boundary
+row once; the check that boundaries compose to zero accumulates over
+those entries alone, and they cut each
 boundary into the connected blocks of its nonzero pattern.  Cohomology groups, and the connecting map of the
 coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, follow
 from the invariant factors of the boundary maps by the universal
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count, repeat
+from itertools import compress
 
 from .stable_tables import FinAbGroup, _all_ints, _read_json
 
@@ -199,48 +199,48 @@ class IntMatrix:
 _SWAP, _NEG, _ADD = _KINDS = range(3)
 
 
-def _operations(side: str, log: list[int], start: int = 0):
-    """(side, k, kind, i, t, q) for each operation k, (kind, i, t, q), of a
-    flat log from its position start, a multiple of 4, on; RuntimeError
-    naming the side, at once, unless that part of the log is integer
-    quadruples."""
+def _operations(side: str, log: list[int], size: int, start: int = 0):
+    """The operations (kind, i, t, q) of a flat log from its position start,
+    a multiple of 4, on, for size rows (or columns), as a lazy zip.  The one
+    check of a log part, made whole before any of it is applied:
+    RuntimeError naming the side unless the part is integer quadruples, and
+    the side and place k of the first operation of an unknown kind, with i
+    or t outside range(size), adding a row (or column) to itself, or a swap
+    or negation with q != 0, or a negation with t != i."""
     part = log[start:]
     if len(part) % 4 or not _all_ints(part):
         raise RuntimeError(f"Smith decomposition failed: {side} log is not integer quadruples")
-    return zip(repeat(side), count(start // 4), *[iter(part)] * 4)
-
-
-def _check_operation(side: str, k: int, kind: int, i: int, t: int, size: int) -> None:
-    """RuntimeError naming side and k if operation k has an unknown kind, has
-    i or t outside range(size), or adds a row (or column) to itself, which
-    would scale it by 1 + q."""
-    problem = (
-        f"has no kind {kind}" if kind not in _KINDS
-        else "has an index out of range" if not (0 <= i < size and 0 <= t < size)
-        else f"adds a {side} to itself" if kind == _ADD and i == t else None
-    )
-    if problem:
-        raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
+    for k, (kind, i, t, q) in enumerate(zip(*[iter(part)] * 4), start // 4):
+        # the common case, an addition between two rows in range, at once
+        if kind == _ADD and i != t and 0 <= i < size and 0 <= t < size:
+            continue
+        problem = (
+            f"has no kind {kind}" if kind not in _KINDS
+            else "has an index out of range" if not (0 <= i < size and 0 <= t < size)
+            else f"adds a {side} to itself" if kind == _ADD and i == t
+            else f"has q = {q}, not 0" if kind != _ADD and q
+            else f"negates with t = {t}, not i = {i}" if kind == _NEG and t != i
+            else None
+        )
+        if problem:
+            raise RuntimeError(f"Smith decomposition failed: {side} operation {k} {problem}")
+    return zip(*[iter(part)] * 4)
 
 
 def _apply_rows(rows: list[list[int]], ops, sign: int = 1) -> None:
-    """Apply the operations ops, (side, k, kind, i, t, q) each for operation
-    k of the side's log, in order, to the rows of a matrix, in place.  A swap
-    swaps rows i and t, a negation negates row i, an addition adds
-    sign * q * row t to row i; a changed row is a new list, and no row list
-    is written to.  The one interpreter of the row operations, it checks
-    each with _check_operation as it meets it.
+    """Apply the operations ops, (kind, i, t, q) each, as _operations has
+    checked them, in order, to the rows of a matrix, in place.  A swap swaps
+    rows i and t, a negation negates row i, an addition adds sign * q * row t
+    to row i; a changed row is a new list, and no row list is written to.
+    The one interpreter of the row operations; it checks nothing.
 
     Consecutive additions between the same two rows, in either direction (a
     Euclid run), are multiplied into one pending 2 x 2 integer matrix, which
-    is applied to the two whole rows when the run ends; a run of one
-    addition is one whole-row addition."""
-    size = len(rows)
+    _close_run applies to the two whole rows when the run ends."""
     # the open run: n additions between rows a and b, which together make
     # row a, row b := e * row a + f * row b, g * row a + h * row b
     a = b = n = e = f = g = h = 0
-    for side, k, kind, i, t, q in ops:
-        _check_operation(side, k, kind, i, t, size)
+    for kind, i, t, q in ops:
         if kind == _ADD:
             c = sign * q
             if n and i == a and t == b:
@@ -251,10 +251,7 @@ def _apply_rows(rows: list[list[int]], ops, sign: int = 1) -> None:
                 g, h = g + c * e, h + c * f
                 n += 1
                 continue
-        # the open run ends here; a run of one, the common case, inline
-        if n == 1:
-            rows[a] = [x + f * y for x, y in zip(rows[a], rows[b])]
-        elif n:
+        if n:
             _close_run(rows, a, b, n, e, f, g, h)
         if kind == _ADD:
             a, b, n, e, f, g, h = i, t, 1, 1, c, 0, 1
@@ -282,20 +279,18 @@ def _close_run(rows, a, b, n, e, f, g, h) -> None:
         rows[b] = [g * x + h * y for x, y in zip(ra, rb)]
 
 
-def _apply_columns(rows: list[list[int]], ops, size: int) -> None:
-    """Apply the column operations ops, (side, k, kind, i, t, q) each, in
-    order, to the rows of a matrix with size columns, in place: a swap of
+def _apply_columns(rows: list[list[int]], ops) -> None:
+    """Apply the column operations ops, (kind, i, t, q) each, as _operations
+    has checked them, in order, to the rows of a matrix, in place: a swap of
     columns i and t and a negation of column i act on every row, and
     column i += q * column t reads column t of every row and changes entry
-    i of those where it is nonzero, an exact skip.  Each operation is
-    checked with _check_operation as it is met.
+    i of those where it is nonzero, an exact skip.  It checks nothing.
 
     The rows where column t is nonzero are found once for consecutive
     additions from the same column t: an addition changes column i != t
     alone, so column t stays as it was until a swap or a negation."""
     source = None
-    for side, k, kind, i, t, q in ops:
-        _check_operation(side, k, kind, i, t, size)
+    for kind, i, t, q in ops:
         if kind == _ADD:
             if t != source:
                 source, live = t, [row for row in rows if row[t]]
@@ -319,14 +314,15 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
     Stored are the shape (m, n), the diagonal, min(m, n) entries long, and
     the elementary operations that reduced A to D, in order, in two flat
     logs of four integers (kind, i, t, q) each: row_log of the row and
-    col_log of the column operations.  The kinds are a swap of i and t, the
-    negation of i (t = i), and i += q * t with i != t.  The rank is the
+    col_log of the column operations.  The kinds are a swap of i and t and
+    the negation of i (t = i), both with q = 0, and i += q * t with i != t;
+    _operations refuses a log part outside this format.  The rank is the
     number of nonzero diagonal entries.  The witnesses U, V, u_inv and v_inv
     are not stored: _act applies one to the rows of a matrix by replaying a
     log, the row log for U and u_inv, the column log for V and v_inv, and
     each witness property builds its matrix that way, anew on every read.
-    Like verify, they read a log only through _operations and the
-    interpreter: _act hands the rows to _apply_rows.
+    Like verify, they read a log only through _operations, which checks
+    it, and the interpreter: _act hands the rows to _apply_rows.
     """
 
     __slots__ = ()
@@ -350,10 +346,10 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         in order for v_inv.  Swaps and negations are their own inverses.
         """
         if which in ("U", "u_inv"):
-            ops = list(_operations("row", self.row_log))
+            ops = list(_operations("row", self.row_log, len(rows)))
         else:
-            ops = _operations("column", self.col_log)
-            ops = [(side, k, kind, t, i, q) for side, k, kind, i, t, q in ops]
+            ops = _operations("column", self.col_log, len(rows))
+            ops = [(kind, t, i, q) for kind, i, t, q in ops]
         if which in ("u_inv", "V"):
             ops.reverse()
         rows = list(rows)
@@ -386,11 +382,12 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
 
         The shapes, including the length of the diagonal, and its form
         (integers, nonnegative, zeros trailing, the divisibility chain) are
-        read off directly, and _operations checks each log's quadruples.
-        Then, on a copy of the rows of A, _apply_rows applies the row log
-        and _apply_columns the column log, each checking every operation as
-        it meets it, as in the construction; that leaves U A V, which must
-        be exactly D.
+        read off directly.  Then _operations checks the whole row log and
+        then the whole column log (integer quadruples, and each operation's
+        kind, indices and q), all before any operation is applied.  Then, on
+        a copy of the rows of A, _apply_rows applies the row log and
+        _apply_columns the column log, as in the construction; that leaves
+        U A V, which must be exactly D.
 
         This proves U @ A @ V == D with U and V unimodular.  Each operation
         multiplies by an elementary integer matrix: a swap and a negation
@@ -410,10 +407,11 @@ class SmithDecomposition(namedtuple("SmithDecomposition", "shape diag row_log co
         if a.shape != self.shape or len(self.diag) != min(m, n):
             raise RuntimeError("Smith decomposition failed: shapes")
         _check_diagonal(self.diag)
-        row_ops, col_ops = _operations("row", self.row_log), _operations("column", self.col_log)
+        row_ops = _operations("row", self.row_log, m)
+        col_ops = _operations("column", self.col_log, n)
         s = [row[:] for row in a.data]
         _apply_rows(s, row_ops)
-        _apply_columns(s, col_ops, n)
+        _apply_columns(s, col_ops)
         _check_reached(s, self.diag)
 
 
@@ -482,18 +480,18 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     The elimination has no arithmetic of its own on the working matrix: it
     appends operations to its logs and reads the matrix to decide the next
-    ones.  Each operation reaches the matrix through the interpreter, which
-    checks it and applies it to whole rows (_apply_rows) or whole columns
-    (_apply_columns).  A clearing pass adds row t to distinct other rows
-    and never changes row t, so its quotients are all decided from column
-    t, logged in row order and applied in one call, and the residues are
-    read back from the matrix; the pivot row's column quotients likewise.
-    So the construction is itself the replay of the logs on A, and each
-    part of a log is checked to be integer quadruples by _operations as it
-    is applied.  It ends by checking that the matrix is exactly diagonal
-    and that its diagonal has the form of a Smith diagonal: the result has
-    passed every check of SmithDecomposition.verify, which is not called
-    again.
+    ones.  Each part of a log it writes is checked whole by _operations and
+    then applied by the interpreter to whole rows (_apply_rows) or whole
+    columns (_apply_columns).  A clearing pass adds row t to distinct other
+    rows and never changes row t, so its quotients are all decided from
+    column t, logged in row order and applied in one call, and the residues
+    are read back from the matrix; the pivot row's column quotients
+    likewise.  So the construction is itself the replay of the logs on A,
+    and every operation has passed the checks that verify makes on a log
+    before it is applied.  It ends by checking that the matrix is exactly
+    diagonal and that its diagonal has the form of a Smith diagonal: the
+    result has passed every check of SmithDecomposition.verify, which is
+    not called again.
     """
     m, n = a.rows, a.cols
     s = [row[:] for row in a.data]
@@ -502,12 +500,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     played = [0, 0]
 
     def play() -> None:
-        """Apply to s, through the interpreter, the operations logged since
-        the last call."""
+        """Check with _operations, then apply to s through the interpreter,
+        the operations logged since the last call."""
         if len(row_log) > played[0]:
-            _apply_rows(s, _operations("row", row_log, played[0]))
+            _apply_rows(s, _operations("row", row_log, m, played[0]))
         if len(col_log) > played[1]:
-            _apply_columns(s, _operations("column", col_log, played[1]), n)
+            _apply_columns(s, _operations("column", col_log, n, played[1]))
         played[:] = len(row_log), len(col_log)
 
     t = 0

@@ -394,7 +394,8 @@ def test_witnesses_refuse_malformed_logs():
     # by its place in the log also where it is replayed in reverse, what
     # verify refuses: a self-addition (with the row log [ADD, 1, 1, 5], U
     # would scale row 1 by 6), an index out of range, negative or not (-1
-    # would name the last row), and a kind that does not exist
+    # would name the last row), a kind that does not exist, a swap or a
+    # negation with q != 0, and a negation with t != i
     good = [SWAP, 0, 1, 0]
     malformed = [
         ([ADD, 1, 1, 5], "adds a {side} to itself"),
@@ -402,6 +403,9 @@ def test_witnesses_refuse_malformed_logs():
         ([SWAP, 0, -1, 0], "has an index out of range"),
         ([ADD, 0, -2, 1], "has an index out of range"),
         ([9, 0, 1, 0], "has no kind 9"),
+        ([SWAP, 0, 1, 7], "has q = 7, not 0"),
+        ([NEG, 0, 1, 0], "negates with t = 1, not i = 0"),
+        ([NEG, 1, 1, 3], "has q = 3, not 0"),
     ]
     for op, problem in malformed:
         for side, witnesses in (("row", ("U", "u_inv")), ("column", ("V", "v_inv"))):
@@ -421,6 +425,24 @@ def test_witnesses_refuse_malformed_logs():
             # the other side's witnesses read only their own, empty, log
             for which in set(WITNESSES) - set(witnesses):
                 assert getattr(d, which) == IntMatrix.identity(2)
+    # swaps and negations that carry a q, or a negation with t != i, change
+    # nothing that a replay reads, but they are outside the format: one
+    # decomposition has only the logs the elimination could write
+    identity = IntMatrix.identity(2)
+    for log, problem in (
+        ([NEG, 0, 1, 5, NEG, 0, 1, 9], "has q = 5, not 0"),
+        ([SWAP, 0, 1, 7, SWAP, 0, 1, 3], "has q = 7, not 0"),
+    ):
+        with pytest.raises(RuntimeError) as err:
+            SmithDecomposition((2, 2), (1, 1), log, []).verify(identity)
+        assert str(err.value) == f"Smith decomposition failed: row operation 0 {problem}"
+    rng = random.Random(2026)
+    a = IntMatrix(12, 12, [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
+    d = smith_normal_form(a)
+    assert _ops(d.col_log)[0] == (SWAP, 0, 1, 0)
+    with pytest.raises(RuntimeError) as err:
+        d._replace(col_log=_with_op(d.col_log, 0, (SWAP, 0, 1, 7))).verify(a)
+    assert str(err.value) == "Smith decomposition failed: column operation 0 has q = 7, not 0"
 
 
 def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeypatch):
@@ -448,31 +470,27 @@ def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeyp
         calls.append(("_apply_rows", ops, sign))
         apply_rows(rows, ops, sign)
 
-    def columns_seen(rows, ops, size):
+    def columns_seen(rows, ops):
         ops = list(ops)
-        calls.append(("_apply_columns", ops, size))
-        apply_columns(rows, ops, size)
+        calls.append(("_apply_columns", ops))
+        apply_columns(rows, ops)
 
     monkeypatch.setattr(homology, "_apply_rows", rows_seen)
     monkeypatch.setattr(homology, "_apply_columns", columns_seen)
     for a, d, *_ in cases:
-        logged = {
-            side: [(side, k, *op) for k, op in enumerate(_ops(log))]
-            for side, log in (("row", d.row_log), ("column", d.col_log))
-        }
+        # the interpreters receive bare operations (kind, i, t, q), which
+        # _operations has checked
+        logged = {"row": _ops(d.row_log), "column": _ops(d.col_log)}
         calls.clear()
         assert smith_normal_form(a) == d
         for target, side in (("_apply_rows", "row"), ("_apply_columns", "column")):
-            assert [op for name, ops, _ in calls if name == target for op in ops] == logged[side]
+            assert [op for name, ops, *_ in calls if name == target for op in ops] == logged[side]
         # verify replays a decomposition the way the construction builds it,
         # through the same two functions: the whole row log in one call, of
-        # sign 1, then the whole column log in one call, on a.cols columns
+        # sign 1, then the whole column log in one call
         calls.clear()
         d.verify(a)
-        assert calls == [
-            ("_apply_rows", logged["row"], 1),
-            ("_apply_columns", logged["column"], a.cols),
-        ]
+        assert calls == [("_apply_rows", logged["row"], 1), ("_apply_columns", logged["column"])]
 
     # with the interpreter refusing everything, the elimination fails at its
     # first operation on either side: it changes nothing by itself
@@ -480,8 +498,8 @@ def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeyp
         raise AssertionError(next(iter(ops)))
 
     for target, a, first in (
-        ("_apply_rows", [[2], [3]], ("row", 0, ADD, 1, 0, -2)),
-        ("_apply_columns", [[2, 3]], ("column", 0, ADD, 1, 0, -1)),
+        ("_apply_rows", [[2], [3]], (ADD, 1, 0, -2)),
+        ("_apply_columns", [[2, 3]], (ADD, 1, 0, -1)),
     ):
         monkeypatch.setattr(homology, target, refuse)
         with pytest.raises(AssertionError) as err:
@@ -598,11 +616,11 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
         # column log on the columns of M as M @ V
         x = IntMatrix(m, 2, [[rng.randint(-9, 9) for _ in range(2)] for _ in range(m)])
         rows = x.to_lists()
-        homology._apply_rows(rows, homology._operations("row", _flat(ops["row"])))
+        homology._apply_rows(rows, homology._operations("row", _flat(ops["row"]), m))
         assert rows == (oracle["U"] @ x).data
         x = IntMatrix(3, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)])
         rows = x.to_lists()
-        homology._apply_columns(rows, homology._operations("column", _flat(ops["column"])), n)
+        homology._apply_columns(rows, homology._operations("column", _flat(ops["column"]), n))
         assert rows == (x @ oracle["V"]).data
         # A = u_inv D v_inv reduces to D by the logs
         target = diagonal_matrix(m, n, diag)
@@ -627,8 +645,9 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
             with pytest.raises(RuntimeError, match="replay"):
                 mutant.verify(a)
     assert unusual_orders and column_negations and refused
-    # the column application refuses a malformed operation as it meets it,
-    # with the row replay's messages: here after one swap it has applied
+    # _operations refuses a part of a column log with a malformed operation,
+    # with the row log's messages, before any of it is applied: the valid
+    # swap ahead of the bad operation leaves the rows as they were
     for op, problem in (
         ([ADD, 1, 1, 5], "adds a column to itself"),
         ([SWAP, 0, 2, 0], "has an index out of range"),
@@ -638,9 +657,9 @@ def test_replay_of_arbitrary_logs_matches_elementary_products():
     ):
         rows = [[1, 2], [3, 4]]
         with pytest.raises(RuntimeError) as err:
-            homology._apply_columns(rows, homology._operations("column", [SWAP, 0, 1, 0] + op), 2)
+            homology._apply_columns(rows, homology._operations("column", [SWAP, 0, 1, 0] + op, 2))
         assert str(err.value) == f"Smith decomposition failed: column operation 1 {problem}"
-        assert rows == [[2, 1], [4, 3]]
+        assert rows == [[1, 2], [3, 4]]
 
 
 def _runs(log):
@@ -705,6 +724,9 @@ def test_replay_checks_each_operation_inside_a_run():
         ([ADD, 1, 2, 5], "has an index out of range"),
         ([ADD, 1, -1, 5], "has an index out of range"),
         ([9, 1, 0, 5], "has no kind 9"),
+        ([SWAP, 0, 1, 7], "has q = 7, not 0"),
+        ([NEG, 0, 1, 0], "negates with t = 1, not i = 0"),
+        ([NEG, 1, 1, 3], "has q = 3, not 0"),
     ]
     for op, problem in malformed:
         for side, witnesses in (("row", ("U", "u_inv")), ("column", ("V", "v_inv"))):
