@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perindex import ahss, bounds, cli, numtheory
 from perindex.bounds import KIND_UPPER, MAX_DIM, TAG_PRODUCT, BoundReport
@@ -402,9 +404,107 @@ def test_every_subcommand_emits_a_parseable_envelope(tmp_path, capsys):
         ["fixtures", "emit", "sphere-2"],
     ]
     for argv in invocations:
-        doc = run_json(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
         assert set(doc) == {"command", "inputs", "result", "citations"}, argv
         assert doc["command"] == argv[0]
+        # the envelope is written exactly as json.dumps(indent=2) writes it
+        assert out == json.dumps(doc, indent=2) + "\n", argv
+    code, out, _ = run(capsys, "fixtures", "emit", "bzr-2-6")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# Ints up to the interpreter's default limit of 4,300 digits for int-to-str
+# conversion, strings of any code point, lone surrogates and control
+# characters included.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**4290, 10**4300 - 1).flatmap(lambda n: st.sampled_from((n, -n)))
+    | st.text(st.characters(exclude_categories=()))
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_leaves_other_values_to_json():
+    # floats and dicts with keys that are not strings, nested, are
+    # re-indented to their depth
+    value = {"a": [1.5, {1: [2.0, {None: True}], "b": []}], "c": {}, "d": (float("inf"),)}
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+    for bad in (10**4300, [{"x": 10**4300}]):
+        with pytest.raises(ValueError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(ValueError):
+            cli._json_text(bad)
+    with pytest.raises(TypeError):
+        cli._json_text({"x": [object()]})
+
+
+# Each subcommand, and the argvs that argparse answers with an error or help.
+PARSE_CASES = [
+    ["m", "4", "2"],
+    ["n", "2", "2", "--json"],
+    ["kummer", "2", "4", "4"],
+    ["upper-bound", "--dim", "7", "--period", "12", "--json"],
+    ["upper-bound", "--period=2", "--dim", "6", "--prime-power"],
+    ["upper-bound", "--dim", "6", "--period", "2", "--tables", "t.json"],
+    ["upper-bound", "--dim", "6", "--period", "2", "--tables", "t.json", "--prime-power"],
+    ["upper-bound", "--di", "6", "--period", "2"],
+    ["lower-bound", "--period", "2", "--skeleton", "5"],
+    ["sandwich", "--skeleton", "5", "--period", "2", "--json"],
+    ["pu-order", "4", "2"],
+    ["admissible", "--degree", "4", "--orders", "2,2"],
+    ["min-degree", "--orders", "2,2", "--cap", "100"],
+    ["per-ind-check", "2", "8"],
+    ["cohomology", "c.json", "--mod", "2", "--degree", "1"],
+    ["bockstein", "c.json", "--degree", "1", "--mod", "2"],
+    ["ahss-bound", "--shape", "s.json"],
+    ["ahss-bound", "c.json", "--period", "2", "--json"],
+    ["fixtures", "emit", "rp-3", "--out", "o.json"],
+    ["m", "--", "4", "2"],
+    ["m", "4", "--", "-2"],
+    ["m", "-h"],
+    ["upper-bound", "--dim", "6", "--help"],
+    ["--json", "m", "4", "2"],
+    ["--help"],
+    ["m", "4", "2", "--bogus"],
+    ["m", "4", "2", "5", "6"],
+    ["upper-bound", "--dim", "6"],
+    ["upper-bound", "--dim", "six", "--period", "2"],
+    ["fixtures", "show", "rp-3"],
+    [],
+    ["no-such-command"],
+    ["upper"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_subcommand_parse_matches_the_top_level_parse(capsys, monkeypatch, argv):
+    """main parses with the subcommand's own parser; the namespace, in its
+    order, or the exit code and output, are those of the top-level parse."""
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+
+    def parse(parse_args):
+        try:
+            result = list(vars(parse_args(list(argv))).items())
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert parse(cli._parse_args) == parse(cli._PARSER.parse_args)
 
 
 def test_fixtures_emit(tmp_path, capsys):

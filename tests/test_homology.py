@@ -445,6 +445,31 @@ def test_witnesses_refuse_malformed_logs():
     assert str(err.value) == "Smith decomposition failed: column operation 0 has q = 7, not 0"
 
 
+def test_witnesses_act_on_rows_of_the_decomposition_shape_only():
+    """_act checks a log against the decomposition's own shape, m rows for
+    U and u_inv and n for V and v_inv, and refuses rows of another count:
+    a swap of rows 0 and 2 is out of range for m = 2, however many rows
+    are handed over."""
+    d = SmithDecomposition((2, 2), (1, 1), [SWAP, 0, 2, 0], [])
+    for which in ("U", "u_inv"):
+        with pytest.raises(RuntimeError) as err:
+            d._act(which, [[1], [2], [3]])
+        assert str(err.value) == f"{which} acts on 2 rows, not 3"
+        with pytest.raises(RuntimeError) as err:
+            d._act(which, [[1], [2]])
+        assert str(err.value) == "Smith decomposition failed: row operation 0 has an index out of range"
+    with pytest.raises(RuntimeError):
+        d.U
+    wide = SmithDecomposition((2, 3), (1, 1), [SWAP, 0, 1, 0], [ADD, 2, 0, 5])
+    rows = {"U": [[1], [2]], "u_inv": [[1], [2]], "V": [[1], [2], [3]], "v_inv": [[1], [2], [3]]}
+    for which, good in rows.items():
+        assert wide._act(which, good) == (getattr(wide, which) @ IntMatrix(len(good), 1, good)).data
+        bad = rows["V" if len(good) == 2 else "U"]
+        with pytest.raises(RuntimeError) as err:
+            wide._act(which, bad)
+        assert str(err.value) == f"{which} acts on {len(good)} rows, not {len(bad)}"
+
+
 def test_the_elimination_changes_its_matrix_only_through_the_interpreter(monkeypatch):
     # the elimination has no arithmetic of its own on the working matrix: it
     # hands every operation it logs to the interpreter, once and in log
@@ -1592,7 +1617,7 @@ def test_block_factors_match_the_whole_smith_form(monkeypatch):
     negated, placed block-diagonally beside zero rows and columns, then
     permuted: the merged factors are the Smith diagonal of the whole matrix
     (and sympy's), and each distinct block with 2 rows and 2 columns or more
-    is reduced once, and no other."""
+    is reduced once, turned to no more rows than columns, and no other."""
     try:
         import sympy
         from sympy.matrices.normalforms import invariant_factors
@@ -1653,17 +1678,21 @@ def test_block_factors_match_the_whole_smith_form(monkeypatch):
             if sympy is not None and case < 40:
                 expected = invariant_factors(sympy.Matrix(a.data), domain=sympy.ZZ)
                 assert factors == tuple(int(x) for x in expected if x)
+            # each block is reduced with no more rows than columns
             distinct = []
             for block in connected_blocks(a):
+                if block.rows > block.cols:
+                    block = block.transpose()
                 if min(block.shape) >= 2 and block not in distinct:
                     distinct.append(block)
             assert sorted(b.data for b in reduced) == sorted(b.data for b in distinct)
             if permute == "riffle":
                 copies = []
                 for data in blocks:
-                    transposed = [list(col) for col in zip(*data)]
-                    if min(len(data), len(data[0])) >= 2 and transposed not in copies:
-                        copies.append(transposed)
+                    if len(data) >= len(data[0]):
+                        data = [list(col) for col in zip(*data)]
+                    if min(len(data), len(data[0])) >= 2 and data not in copies:
+                        copies.append(data)
                 assert sorted(b.data for b in reduced) == sorted(copies)
                 matrices += bool(copies)
     assert repeats > 50 and negated > 20 and matrices > 40
