@@ -7,12 +7,14 @@ gcd of an initial segment of a Pascal-triangle row, in closed form) and
 ``n_func`` (the divisor that gcd forces on any admissible degree).  All
 arithmetic is arbitrary-precision; there is no overflow regime.
 
-Primality is deterministic Miller-Rabin, exact below about 3.3 * 10**24, and
-factorization splits cofactors with Pollard-Brent rho under an iteration
-budget that shrinks with the cofactor's size, so rho gives up in about the
-same time at any size, but the primality test run first on each cofactor
-costs more the larger it is: seconds at 14,000 bits.  Both refuse with
-ValueError what they cannot settle exactly; neither returns a probable answer.
+Primality is deterministic Miller-Rabin to as many prime bases as the size of
+the number needs, exact below about 3.3 * 10**24, and factorization splits
+cofactors with Pollard-Brent rho under an iteration budget that shrinks with
+the cofactor's size, so rho gives up in about the same time at any size, but
+the primality test run first on each cofactor costs more the larger it is:
+seconds at 14,000 bits.  Both refuse with ValueError what they cannot settle
+exactly; neither returns a probable answer.  m_closed and n_func factor
+nothing up to s = _LCM_FORM_MAX_S: there both are read off lcm(1..s).
 """
 
 from __future__ import annotations
@@ -33,11 +35,30 @@ __all__ = [
 ]
 
 
-# The primes up to 41.  Miller-Rabin to these 13 bases has no strong
-# pseudoprime below _MR_EXACT_BELOW (Sorenson-Webster, "Strong pseudoprimes to
-# twelve prime bases", Math. Comp. 2017), so there its verdict is a proof.
+# The primes up to 41, the bases of the strong (Miller-Rabin) test.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k primes as bases, for
+# k = 1..13 (OEIS A014233; Jaeschke, "On strong pseudoprimes to several
+# bases", Math. Comp. 1993, and Sorenson-Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017).  Below psi_k the first k bases
+# decide primality exactly; below psi_13 all 13 do, and at or above it none
+# can prove a number prime.
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_EXACT_BELOW = _MR_PSI[-1]
 
 # Iterations of x -> x*x + c that factorize may spend on one cofactor of up
 # to _RHO_FULL_BITS bits, over all its restarts, before refusing it.  Enough
@@ -51,17 +72,28 @@ _RHO_BATCH = 128
 # that meets fresh large periods all day must not grow the cache without
 # bound; 1,024 factorizations of 11-digit integers hold about 0.5 MB.
 _FACTORIZE_CACHE_SIZE = 1024
+# The largest s for which m_closed and n_func read their value off
+# lcm(1..s), which has about 1.44 s bits, instead of factoring their
+# argument.  At s = 1,024 lcm(1..s) has 1,479 bits and _lcm_upto takes
+# about 0.25 ms (math.lcm over all of 1..s 0.4 ms), at s <= 12 under 1 us
+# (CPython 3.11.7, one core of a shared 2-vCPU host).  Factoring an 11- or
+# 12-digit semiprime took 190-350 us there, and a 43-digit semiprime is
+# refused after about a second.  Past the constant both factor, which costs
+# the same at any s.
+_LCM_FORM_MAX_S = 1024
 
 
 def is_prime(p: int) -> bool:
     """Exact primality test for any integer, with no probabilistic verdict.
 
     Trial division by the primes up to 41 settles every p < 43**2.  Above
-    that, the strong (Miller-Rabin) test to the bases 2, 3, ..., 41 runs:
-    a witness proves p composite at any size, and the absence of one proves
-    p prime below 3,317,044,064,679,887,385,961,981.  At or above that bound
-    a p with no witness cannot be certified, and ValueError is raised rather
-    than a guess returned.
+    that, the strong (Miller-Rabin) test runs to the first k primes as
+    bases, for the least k with p < psi_k (_MR_PSI): one base below 2,047,
+    all 13 up to 41 from 318,665,857,834,031,151,167,461 on.  A witness
+    proves p composite at any size, and the absence of one proves p prime
+    below psi_13 = 3,317,044,064,679,887,385,961,981.  At or above that
+    bound a p with no witness cannot be certified, and ValueError is raised
+    rather than a guess returned.
     """
     if p < 2:
         return False
@@ -74,7 +106,8 @@ def is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    k = next((k for k, psi in enumerate(_MR_PSI, start=1) if p < psi), len(_MR_PSI))
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue
@@ -298,6 +331,13 @@ def kummer_carries(p: int, a: int, b: int) -> int:
     return carries
 
 
+def _lcm_upto(s: int) -> int:
+    """lcm(1, ..., s) for s >= 1, taken over s//2 + 1, ..., s alone: each
+    i <= s/2 divides one of 2i, 4i, 8i, ..., and one of those lies in that
+    range.  Half the arguments take about 0.6 of the time."""
+    return math.lcm(*range(s // 2 + 1, s + 1))
+
+
 def _check_positive_pair(a: int, s: int, first: str) -> None:
     if a < 1:
         raise ValueError(f"{first} must be >= 1, got {a}")
@@ -308,18 +348,30 @@ def _check_positive_pair(a: int, s: int, first: str) -> None:
 def m_closed(a: int, s: int) -> int:
     """gcd of the binomial coefficients C(a,1), ..., C(a,s) in closed form:
     prod p**max(n - [log_p s], 0) over a = prod p**n, that is, a over its gcd
-    with n_func(a, s) / a = prod p**[log_p s].  Every p**n dividing a is at
-    most a, so from s = a on the gcd of the binomials is 1: s is capped at a."""
+    with lcm(1..s) = prod over primes p <= s of p**[log_p s].  Every p**n
+    dividing a is at most a, so from s = a on the gcd of the binomials is 1:
+    s is capped at a.  Up to s = _LCM_FORM_MAX_S (1,024, where lcm(1..s)
+    costs about 0.3 ms) a is never factored; past it the part of lcm(1..s)
+    that matters, n_func(a, s) / a, is taken from a's factorization."""
     _check_positive_pair(a, s, "a")
-    return a // math.gcd(a, n_func(a, min(s, a)) // a)
+    s = min(s, a)
+    if s <= _LCM_FORM_MAX_S:
+        return a // math.gcd(a, _lcm_upto(s))
+    return a // math.gcd(a, n_func(a, s) // a)
 
 
 def n_func(b: int, s: int) -> int:
-    """prod p**(n + [log_p s]) over the factorization b = prod p**n.
+    """prod p**(n + [log_p s]) over the factorization b = prod p**n, that is,
+    b times the b-primary part of lcm(1..s).
 
     b divides m_closed(a, s) exactly when n_func(b, s) divides a: both say
-    n + [log_p s] <= v_p(a) wherever p**n exactly divides b."""
+    n + [log_p s] <= v_p(a) wherever p**n exactly divides b.  Up to
+    s = _LCM_FORM_MAX_S (1,024, where lcm(1..s) costs about 0.3 ms) b is
+    never factored: r_primary_part takes the b-primary part of lcm(1..s)
+    by a gcd.  Past it b is factored, which costs the same at any s."""
     _check_positive_pair(b, s, "b")
+    if s <= _LCM_FORM_MAX_S:
+        return b * r_primary_part(_lcm_upto(s), b)
     out = 1
     for p, n in factorize(b).pairs:
         out *= p ** (n + integer_log(p, s))

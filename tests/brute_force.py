@@ -29,6 +29,19 @@ def m_oracle(a: int, s: int) -> int:
     return g
 
 
+def n_oracle(b: int, s: int) -> int:
+    """n(b, s) = prod p**(v_p(b) + [log_p s]) by its definition: b times, for
+    each prime p <= s dividing b, the largest power of p that is at most s.
+    A prime above s adds nothing, so b itself is never factored."""
+    out = b
+    for p in range(2, s + 1):
+        if b % p == 0 and trial_division(p) == ((p, 1),):
+            q = p
+            while q <= s:
+                out, q = out * p, q * p
+    return out
+
+
 def det_oracle(rows) -> int:
     """Determinant of a square matrix, given by its rows, by Laplace
     expansion along the first row; 1 for the empty matrix."""

@@ -225,6 +225,29 @@ def test_admissibility_never_factors_the_degree(monkeypatch):
     assert factored == []
 
 
+def test_nothing_is_factored_up_to_the_lcm_bound(monkeypatch):
+    def refuse(a):
+        raise AssertionError(f"factorize({a}) was called")
+
+    monkeypatch.setattr(numtheory, "factorize", refuse)
+    top = numtheory._LCM_FORM_MAX_S
+    # rho cannot split hard within its budget, and it has no prime factor up to top
+    hard = 2787593149816327892763980872944807277756691
+    assert m_closed(4 * hard, 2) == pu_eta_power_order(4 * hard, 2) == 2 * hard
+    assert m_closed(4 * hard, top) == pu_eta_power_order(4 * hard, top) == hard
+    assert n_func(hard, top) == hard
+    assert n_func(4 * hard, top) == 2**12 * hard
+    assert lower_bound_skeleton(hard, 2 * top + 1).bound == hard
+    assert degree_admissible(2 * hard, OrdersProfile(hard, (hard, hard)))
+    assert not degree_admissible(2 * hard, OrdersProfile(2 * hard, (2 * hard, 2)))
+    long = OrdersProfile(2 * hard, (2 * hard,) + (2,) * (top - 1))
+    assert min_admissible_degree(long, hard**2) == 2**11 * hard
+    assert degree_admissible(2**11 * hard, long)
+    # one past the bound the factorization path runs
+    with pytest.raises(AssertionError, match="factorize"):
+        n_func(6, top + 1)
+
+
 @settings(max_examples=100)
 @given(st.integers(min_value=2, max_value=60), st.data())
 def test_admissible_monotone_under_divisibility(n, data):

@@ -15,6 +15,8 @@ from perindex.cli import main
 from perindex.homology import MAX_CELLS, bzr_skeleton_complex, chain_complex_to_json
 from perindex.numtheory import factorize
 
+from brute_force import m_oracle, n_oracle
+
 
 def run(capsys, *argv):
     """(exit code, stdout, stderr) of one main call, usage errors included."""
@@ -278,6 +280,24 @@ def test_min_degree_past_the_cap_factors_nothing(capsys, monkeypatch):
     assert code == 0
     assert out.strip() == "none-found (the least admissible degree exceeds the cap 5)"
     assert factored == []
+
+
+def test_hard_degrees_and_periods_are_answered(capsys):
+    # rho cannot split hard within its budget; m, n and the skeleton bound
+    # read lcm(1..s) and factor nothing
+    hard = 2787593149816327892763980872944807277756691
+    degree = 4 * hard
+    for argv in (("m", str(degree), "2"), ("pu-order", str(degree), "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), err
+        assert out == "5575186299632655785527961745889614555513382\n"
+        assert int(out) == m_oracle(degree, 2)
+    for b, s in ((hard, 2), (degree, 5)):
+        code, out, err = run(capsys, "n", str(b), str(s))
+        assert (code, err) == (0, ""), err
+        assert int(out) == n_oracle(b, s)
+    result = run_json(capsys, "lower-bound", "--period", str(hard), "--skeleton", "5")["result"]
+    assert result["bound"] == n_oracle(hard, 2) == hard
 
 
 def test_per_ind_check(capsys):

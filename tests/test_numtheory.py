@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perindex import numtheory
@@ -19,10 +19,26 @@ from perindex.numtheory import (
     r_primary_part,
 )
 
-from brute_force import m_oracle, padic_valuation, prime_support, trial_division
+from brute_force import m_oracle, n_oracle, padic_valuation, prime_support, trial_division
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# psi_k for k = 1..12: the least strong pseudoprime to the first k primes as
+# bases (OEIS A014233); psi_13 is MR_EXACT_BELOW
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def trial_is_prime(p: int) -> bool:
@@ -220,6 +236,34 @@ def test_m_prime_support_contained_in_a(a, s):
     assert prime_support(m_closed(a, s)) <= prime_support(a)
 
 
+LCM_FORM_MAX_S = numtheory._LCM_FORM_MAX_S
+
+
+# the oracle m takes up to about 0.1 s at these sizes
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2 * LCM_FORM_MAX_S + 50),
+    st.one_of(
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=LCM_FORM_MAX_S - 1, max_value=LCM_FORM_MAX_S + 1),
+        # prime powers past the bound, where [log_p s] steps up
+        st.sampled_from([11**3, 37**2, 2**11]),
+    ),
+)
+@example(1, LCM_FORM_MAX_S)
+@example(2 * 3 * 1019, LCM_FORM_MAX_S)
+@example(2**10 * 1021, LCM_FORM_MAX_S + 1)
+@example(LCM_FORM_MAX_S + 1, LCM_FORM_MAX_S + 1)
+@example(2 * LCM_FORM_MAX_S, LCM_FORM_MAX_S + 1)
+@example(2**11, 2**11)
+@example(2 * 11**3, 11**3)
+def test_closed_forms_match_their_definitions(a, s):
+    # up to LCM_FORM_MAX_S both read lcm(1..s); past it n_func factors, and
+    # so does m_closed once a is past it too
+    assert n_func(a, s) == n_oracle(a, s)
+    assert m_closed(a, s) == m_oracle(a, s)
+
+
 def test_n_examples():
     assert n_func(1, 7) == 1
     assert n_func(2, 2) == 4
@@ -268,13 +312,37 @@ def test_is_prime_matches_trial_division_below_20000():
         assert is_prime(p) == trial_is_prime(p), p
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, e = n - 1, 0
+    while d % 2 == 0:
+        d, e = d // 2, e + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, e))
+
+
 def test_is_prime_strong_pseudoprimes():
-    # strong pseudoprimes to the first 4, 11 and 12 prime bases: a later base is a witness
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not is_prime(n)
+    # psi_k passes the first k prime bases, so is_prime must run more of them
+    # on it: the next base that is a witness
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for k, n in enumerate(PSI, start=1):
+        assert all(strong_probable_prime(n, a) for a in bases[:k]), k
+        assert not is_prime(n), k
+    # is_prime picks its bases from this table
+    assert numtheory._MR_PSI == PSI + (MR_EXACT_BELOW,)
     # a strong pseudoprime to all 13 bases: refused, not guessed
     with pytest.raises(ValueError, match="cannot certify"):
         is_prime(MR_EXACT_BELOW)
+
+
+def test_is_prime_matches_a_sieve_below_one_million():
+    # below psi_2 = 1,373,653 this checks the one- and two-base verdicts
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [p for p in range(limit) if is_prime(p) != sieve[p]] == []
 
 
 def test_is_prime_above_the_exact_bound():
