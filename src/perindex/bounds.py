@@ -215,7 +215,7 @@ def degree_admissible(n: int, profile: OrdersProfile) -> bool:
     """Whether a degree-n algebra can carry a class with the given cup-power
     orders: r and then the forced divisor must divide n.  n is never factored,
     and the orders only when r divides n and the profile runs past
-    s = 1,024, where n_func stops reading lcm(1..s)."""
+    s = numtheory._LCM_FORM_MAX_S, where n_func stops reading lcm(1..s)."""
     if n < 2:
         raise ValueError(f"candidate degree must be >= 2, got {n}")
     return n % profile.r == 0 and n % _forced_divisor(profile) == 0
@@ -225,7 +225,8 @@ def min_admissible_degree(profile: OrdersProfile, search_cap: int) -> int | None
     """Smallest admissible degree <= search_cap, or None when none exists: the
     admissible degrees are the multiples of the forced divisor L, so max(2, L).
     r = n_func(o_1, 1) divides L, so an r past the cap settles it before L is
-    computed.  No order is factored while the profile ends by s = 1,024."""
+    computed.  No order is factored while the profile ends by
+    s = numtheory._LCM_FORM_MAX_S."""
     if search_cap < 2:
         raise ValueError(f"search_cap must be >= 2, got {search_cap}")
     if profile.r > search_cap:
@@ -236,8 +237,9 @@ def min_admissible_degree(profile: OrdersProfile, search_cap: int) -> int | None
 
 def _forced_divisor(profile: OrdersProfile) -> int:
     """L = lcm_s n_func(o_s, s): o_s divides m_closed(n, s) for every s iff L
-    divides n.  Up to s = 1,024 each n_func(o_s, s) is o_s times the
-    o_s-primary part of lcm(1..s), a gcd; only past that is o_s factored."""
+    divides n.  Up to s = numtheory._LCM_FORM_MAX_S each n_func(o_s, s) is
+    o_s times the o_s-primary part of lcm(1..s), a gcd; only past that is
+    o_s factored."""
     return math.lcm(*(n_func(o, s) for s, o in enumerate(profile.orders, start=1)))
 
 

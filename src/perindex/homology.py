@@ -20,16 +20,16 @@ the same functions, for a decomposition from elsewhere.  Replayed on the
 rows of a matrix, a log multiplies them by U, V or their inverses, which
 are never stored.  A complex reads the nonzero columns of each boundary
 row once; the check that boundaries compose to zero accumulates over
-those entries alone, and they cut each
-boundary into the connected blocks of its nonzero pattern.  Cohomology groups, and the connecting map of the
-coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, follow
-from the invariant factors of the boundary maps by the universal
-coefficient theorem: a block with one row or one column has the gcd of its
-entries as its one factor, each distinct larger block is reduced once per
-complex, each integral group is formed once per complex, and no witness is
-applied.  Witnesses are applied only
-where classes must be named, to the few vectors that name them: by
-cohomology_generators_Z to the generating cochains, and by
+those entries alone, and they alone cut each boundary into the connected
+blocks of its nonzero pattern.  The integral groups follow from the
+invariant factors of the boundaries by the universal coefficient theorem:
+a block with one row or one column has the gcd of its entries as its one
+factor, and each distinct larger block is reduced once per complex, with
+fewer rows than columns.  The mod-r groups, and the connecting map of the
+coefficient sequence Z -> Z -> Z/r written in Smith-adapted bases, are
+read off the integral groups, and no witness is applied.  Witnesses are
+applied only where classes must be named, to the few vectors that name
+them: by cohomology_generators_Z to the generating cochains, and by
 bockstein_of_cocycle to one cocycle.
 
 Conventions: the coboundary in degree k is the transpose of the boundary in
@@ -110,7 +110,7 @@ def _check_integers(values, what: str) -> None:
 
 class IntMatrix:
     """Integer matrix stored as rows of Python ints; either dimension may be
-    zero.  Products skip the zero entries of the left factor."""
+    zero."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -132,7 +132,8 @@ class IntMatrix:
     @classmethod
     def _trusted(cls, rows: int, cols: int, data: list[list[int]]) -> "IntMatrix":
         """Wrap rows of ints that this module built itself, without copying
-        or checking them; the rows must not be shared with a caller."""
+        or checking them.  The rows must not be shared with a caller unless
+        they are tuples, which nothing writes."""
         m = object.__new__(cls)
         m.rows, m.cols, m.data = rows, cols, data
         return m
@@ -155,21 +156,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Row i of the product is the sum of a * (row j of other) over the
-        nonzero entries a = self[i][j]."""
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        b, width = other.data, other.cols
-        out = []
-        for row in self.data:
-            acc = [0] * width
-            for j in compress(range(self.cols), row):
-                x = row[j]
-                acc = [p + x * y for p, y in zip(acc, b[j])]
-            out.append(acc)
-        return IntMatrix._trusted(self.rows, width, out)
 
     def det(self) -> int:
         """Exact determinant from the verified smith_normal_form U A V = D: the
@@ -501,7 +487,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     not called again.
     """
     m, n = a.rows, a.cols
-    s = [row[:] for row in a.data]
+    s = [list(row) for row in a.data]
     row_log: list[int] = []
     col_log: list[int] = []
     played = [0, 0]
@@ -597,40 +583,37 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition((m, n), diag, row_log, col_log)
 
 
-def _blocks(a: IntMatrix, supports) -> list[list[list[int]]]:
-    """The connected blocks of the nonzero pattern of a, each transposed
-    and given by its rows, in the order of their first rows; supports[i]
-    holds the columns where row i of a is nonzero, in order.
+def _blocks(supports) -> list[tuple[list[int], list[int]]]:
+    """The connected parts of a nonzero pattern, given by the columns
+    supports[i] where row i is nonzero, in order, as (rows, columns) index
+    lists, in the order of their first rows.
 
-    A row and a column are linked when their entry is nonzero; a block is
-    the submatrix on the rows and columns of one connected part, in their
-    order in a.  Zero rows and columns belong to no block, and every entry
-    outside the blocks is zero.  The parts are found by union-find on the
-    columns, each nonzero row joining the columns it meets.
+    A row and a column are linked when their entry is nonzero.  Permuting
+    the rows and columns of the matrix makes it block-diagonal, one block
+    per part, with its zero rows and columns apart, so its invariant
+    factors are those of its blocks together.  The parts are found by
+    union-find on the columns that some row meets, each row joining the
+    columns it meets; a part's columns are the union of its rows'.
     """
-    indices = range(a.cols)
-    parent = list(indices)
+    parent = {j: j for cols in supports for j in cols}
 
     def root(j: int) -> int:
         while parent[j] != j:
             parent[j] = j = parent[parent[j]]
         return j
 
-    live = [(row, cols) for row, cols in zip(a.data, supports) if cols]
-    for _, cols in live:
-        first = root(cols[0])
-        for j in cols[1:]:
-            parent[root(j)] = first
-    rows_of: dict[int, list[list[int]]] = {}
-    for row, cols in live:
-        rows_of.setdefault(root(cols[0]), []).append(row)
-    # a column that no row meets is its own root, and roots no part
-    cols_of: dict[int, list[int]] = {}
-    for j in indices:
-        r = root(j)
-        if r in rows_of:
-            cols_of.setdefault(r, []).append(j)
-    return [[[row[j] for row in rows] for j in cols_of[r]] for r, rows in rows_of.items()]
+    for cols in supports:
+        if cols:
+            first = root(cols[0])
+            for j in cols[1:]:
+                parent[root(j)] = first
+    parts: dict[int, tuple[list[int], set[int]]] = {}
+    for i, cols in enumerate(supports):
+        if cols:
+            rows, met = parts.setdefault(root(cols[0]), ([], set()))
+            rows.append(i)
+            met.update(cols)
+    return [(rows, sorted(met)) for rows, met in parts.values()]
 
 
 class ChainComplex:
@@ -684,7 +667,7 @@ class ChainComplex:
         self.cell_counts = cell_counts
         self.boundaries = boundaries
         self._supports = supports
-        self._factors: dict[int, tuple[int, ...]] = {}
+        self._factors: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._block_factors: dict[tuple, tuple[int, ...]] = {}
         self._groups: dict[int, CohomologyGroup] = {}
 
@@ -706,48 +689,39 @@ class ChainComplex:
             return IntMatrix(0, self.cell_counts[k])
         return self.boundaries[k].transpose()
 
-    def _nonzero_factors(self, k: int) -> tuple[int, ...]:
-        """Nonzero invariant factors of the degree-k boundary, empty for k
-        outside 1..top_dim and for a zero boundary.
+    def _invariants(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, torsion) of the degree-k boundary: the number of its
+        nonzero invariant factors, and those above 1 in invariant form;
+        (0, ()) for k outside 1..top_dim.
 
-        The boundary is cut into the connected blocks of its nonzero pattern
-        (_blocks): permuting rows and columns makes it block-diagonal, with
-        its zero rows and columns apart, so its invariant factors are those
-        of the sum of the blocks' cyclic groups.  A block with one row or
-        one column has no zero entry, and its one invariant factor is the
-        gcd of its entries.  Each distinct block with at least 2 rows and 2
-        columns is reduced once per complex, turned to have no more rows
-        than columns, and memoised by its entries in that orientation.  A
-        matrix and its transpose have the same invariant factors, and the
-        reduction costs less that way round: the one such block of the
-        degree-5 boundary of the 5-skeleton of K(Z/2, 2) took 54 ms as
-        757 x 41 and 21 ms as 41 x 757.  The non-unit factors of all
-        blocks are put in invariant form, after as many 1s as there are
-        unit factors in all.  A dense
-        boundary is a single block, which the merge leaves as it is.  Over
-        all degrees of the product of the 4-skeleta of B Z/6, B Z/4 and
-        B Z/12 there are 12 distinct blocks of 30 entries in all: 1 block
-        reduced, the 3 x 3 one, the other 11 by gcd, where the boundaries
-        cut to their nonzero rows and columns have 1,143 entries.
+        The boundary's invariant factors are those of its blocks (_blocks)
+        together.  A block with one row or one column has no zero entry, and
+        its one invariant factor is the gcd of its entries.  A larger block
+        is reduced by smith_normal_form once per complex, memoised by its
+        entries, with fewer rows than columns: a matrix and its transpose
+        have the same invariant factors, and the elimination costs less
+        with fewer rows.
         """
         if not 1 <= k <= self.top_dim:
-            return ()
+            return 0, ()
         if k not in self._factors:
-            factors = []
-            for block in _blocks(self.boundary(k), self._supports[k - 1]):
-                if len(block) == 1 or len(block[0]) == 1:
-                    # a vector, all of whose entries are nonzero
-                    factors.append(math.gcd(*(x for row in block for x in row)))
-                    continue
-                if len(block) > len(block[0]):
-                    block = [list(row) for row in zip(*block)]
-                key = tuple(map(tuple, block))
-                if key not in self._block_factors:
-                    a = IntMatrix._trusted(len(block), len(block[0]), block)
-                    self._block_factors[key] = tuple(filter(None, smith_normal_form(a).diag))
-                factors += self._block_factors[key]
-            torsion = _invariant_form(d for d in factors if d > 1)
-            self._factors[k] = (1,) * (len(factors) - len(torsion)) + torsion
+            data = self.boundaries[k - 1].data
+            rank, orders = 0, []
+            for rows, cols in _blocks(self._supports[k - 1]):
+                if len(rows) == 1 or len(cols) == 1:
+                    factors = (math.gcd(*(data[i][j] for i in rows for j in cols)),)
+                else:
+                    if len(rows) < len(cols):
+                        key = tuple(tuple(data[i][j] for j in cols) for i in rows)
+                    else:
+                        key = tuple(tuple(data[i][j] for i in rows) for j in cols)
+                    if key not in self._block_factors:
+                        a = IntMatrix._trusted(len(key), len(key[0]), key)
+                        self._block_factors[key] = tuple(filter(None, smith_normal_form(a).diag))
+                    factors = self._block_factors[key]
+                rank += len(factors)
+                orders += (d for d in factors if d > 1)
+            self._factors[k] = rank, _invariant_form(orders)
         return self._factors[k]
 
     def __repr__(self) -> str:
@@ -804,9 +778,9 @@ def cohomology_Z(c: ChainComplex, k: int) -> CohomologyGroup:
     """
     _check_degree(c, k)
     if k not in c._groups:
-        incoming = c._nonzero_factors(k)
-        free_rank = c.cell_counts[k] - len(incoming) - len(c._nonzero_factors(k + 1))
-        c._groups[k] = CohomologyGroup(k, free_rank, tuple(d for d in incoming if d > 1))
+        rank, torsion = c._invariants(k)
+        free_rank = c.cell_counts[k] - rank - c._invariants(k + 1)[0]
+        c._groups[k] = CohomologyGroup(k, free_rank, torsion)
     return c._groups[k]
 
 
@@ -842,18 +816,20 @@ def cohomology_mod(c: ChainComplex, k: int, r: int) -> CohomologyGroup:
     """Cohomology of the mod-r reduction of the cochain complex in degree k,
     reported as the underlying abelian group.
 
-    By the universal coefficient theorem it is (Z/r)^f, f the integral free
-    rank, plus Z/gcd(d, r) for every nonzero invariant factor d of the
-    boundaries d_k and d_(k+1).  Every gcd divides r, so the f copies of Z/r
-    are the top f invariant factors, and only the non-unit gcds are put in
-    invariant form.
+    By the universal coefficient theorem it is H^k(X; Z) (x) Z/r plus
+    Tor(H^(k+1)(X; Z), Z/r): (Z/r)^f, f the free rank of H^k(X; Z), plus
+    Z/gcd(d, r) for every torsion factor d of H^k(X; Z) and of
+    H^(k+1)(X; Z).  Every gcd divides r, so the f copies of Z/r are the top
+    f invariant factors, and only the non-unit gcds are put in invariant
+    form.
     """
     _check_degree(c, k)
     _check_modulus(r)
-    factors = c._nonzero_factors(k) + c._nonzero_factors(k + 1)
-    free_rank = c.cell_counts[k] - len(factors)
-    torsion = _invariant_form(g for g in (math.gcd(d, r) for d in factors) if g > 1)
-    return CohomologyGroup(k, 0, torsion + (r,) * free_rank)
+    below = cohomology_Z(c, k)
+    torsion = below.torsion + (cohomology_Z(c, k + 1).torsion if k < c.top_dim else ())
+    gcds = (math.gcd(d, r) for d in torsion)
+    free = (r,) * below.free_rank
+    return CohomologyGroup(k, 0, _invariant_form(g for g in gcds if g > 1) + free)
 
 
 class BocksteinMap(
@@ -939,7 +915,7 @@ def bockstein_of_cocycle(c: ChainComplex, k: int, r: int, cochain) -> tuple[int,
 
 def bockstein(c: ChainComplex, k: int, r: int) -> BocksteinMap:
     """The connecting map on degree-k mod-r cohomology, from the memoised
-    invariant factors alone.
+    integral groups alone.
 
     Let d_1 | ... | d_q be the nonzero invariant factors of the boundary
     d_(k+1) and g_i = gcd(d_i, r).  In the Smith-adapted bases of

@@ -127,6 +127,18 @@ def column(a: IntMatrix, j: int) -> list[int]:
     return [row[j] for row in a.data]
 
 
+def matmul(*factors: IntMatrix) -> IntMatrix:
+    """The product of the factors in order, entry by entry: entry (i, j)
+    of a b is row i of a times column j of b."""
+    a, *rest = factors
+    for b in rest:
+        assert a.cols == b.rows, (a.shape, b.shape)
+        data = [[sum(x * y for x, y in zip(row, column(b, j))) for j in range(b.cols)]
+                for row in a.data]
+        a = IntMatrix(a.rows, b.cols, data)
+    return a
+
+
 def apply(a: IntMatrix, vec) -> list[int]:
     """The product of a with a vector of integers, entry by entry."""
     vec = list(vec)
