@@ -1,12 +1,16 @@
 """CLI tests: output shapes, JSON envelopes, golden schema, exit codes."""
 
+import contextlib
+import functools
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perindex import ahss, bounds, cli, numtheory
@@ -473,58 +477,132 @@ def test_json_writer_leaves_other_values_to_json():
         cli._json_text({"x": [object()]})
 
 
-# Each subcommand, and the argvs that argparse answers with an error or help.
-PARSE_CASES = [
-    ["m", "4", "2"],
-    ["n", "2", "2", "--json"],
-    ["kummer", "2", "4", "4"],
-    ["upper-bound", "--dim", "7", "--period", "12", "--json"],
+def _sample(keywords, k: int) -> str:
+    """A value of the k-th argument, unlike any other argument's."""
+    return keywords.get("choices", [str(k) if keywords.get("type") is int else f"f{k}.json"])[0]
+
+
+def _well_formed(command: str) -> list[list[str]]:
+    """Argvs of command that main reads without argparse: every option given,
+    in every order, with each member of an exclusive group or none of them,
+    with and without --json, and the positionals interleaved in every way; an
+    optional positional is given as the first token or left out."""
+    option_sets, positionals = [[]], []
+    ks = itertools.count(2)
+    for group in cli._groups(command):
+        chunks = [[name] if keywords.get("action") else [name, _sample(keywords, next(ks))]
+                  for name, keywords in group if name.startswith("-")]
+        positionals += [(_sample(keywords, next(ks)), keywords.get("nargs") == "?")
+                        for name, keywords in group if not name.startswith("-")]
+        if chunks:
+            choices = chunks + [None] if len(chunks) > 1 or chunks[0] == ["--json"] else chunks
+            option_sets = [s + [c] for s in option_sets for c in choices if c] + [
+                s for s in option_sets if None in choices
+            ]
+    argvs = []
+    for chunks in option_sets:
+        for order in itertools.permutations(chunks):
+            if positionals and positionals[0][1]:
+                argvs += [[command, *head, *itertools.chain(*order)]
+                          for head in ([], [positionals[0][0]])]
+                continue
+            places = range(len(order) + 1)
+            for slots in itertools.combinations_with_replacement(places, len(positionals)):
+                argv = [command]
+                for place in places:
+                    argv += [value for (value, _), slot in zip(positionals, slots) if slot == place]
+                    argv += order[place] if place < len(order) else []
+                argvs.append(argv)
+    return argvs
+
+
+# Tokens that int() reads as argparse's type=int does: any Unicode decimal
+# digits, surrounding white space, underscores between digits.
+WELL_FORMED = [argv for command in cli._GRAMMAR for argv in _well_formed(command)] + [
+    ["m", "\u0664", "2"],
+    ["m", " 4", "1_0"],
+    ["fixtures", "emit", "x y", "--out", "a=b"],
+]
+# Every argv that main leaves to argparse: help, usage errors and other
+# spellings.
+DEFERRED = [
     ["upper-bound", "--period=2", "--dim", "6", "--prime-power"],
-    ["upper-bound", "--dim", "6", "--period", "2", "--tables", "t.json"],
-    ["upper-bound", "--dim", "6", "--period", "2", "--tables", "t.json", "--prime-power"],
     ["upper-bound", "--di", "6", "--period", "2"],
-    ["lower-bound", "--period", "2", "--skeleton", "5"],
-    ["sandwich", "--skeleton", "5", "--period", "2", "--json"],
-    ["pu-order", "4", "2"],
-    ["admissible", "--degree", "4", "--orders", "2,2"],
-    ["min-degree", "--orders", "2,2", "--cap", "100"],
-    ["per-ind-check", "2", "8"],
-    ["cohomology", "c.json", "--mod", "2", "--degree", "1"],
-    ["bockstein", "c.json", "--degree", "1", "--mod", "2"],
-    ["ahss-bound", "--shape", "s.json"],
-    ["ahss-bound", "c.json", "--period", "2", "--json"],
-    ["fixtures", "emit", "rp-3", "--out", "o.json"],
     ["m", "--", "4", "2"],
     ["m", "4", "--", "-2"],
+    ["upper-bound", "--dim", "6", "--dim", "7", "--period", "2"],
+    ["m", "4", "2", "--json", "--json"],
+    ["upper-bound", "--prime-power", "--dim", "6", "--prime-power", "--period", "2"],
+    ["upper-bound", "--dim", "-3", "--period", "2"],
+    ["kummer", "2", "-4", "4"],
+    ["fixtures", "emit", "rp-3", "--out", "-"],
+    ["upper-bound", "--prime-power", "--tables", "t.json", "--dim", "6", "--period", "2"],
+    ["upper-bound", "--dim", "6", "--period", "2", "--tables", "t.json", "--prime-power"],
+    ["upper-bound", "--dim", "six", "--period", "2"],
+    ["upper-bound", "--dim", "6"],
+    ["cohomology", "c.json", "--mod"],
+    ["fixtures", "show", "rp-3"],
+    ["ahss-bound", "--period", "2", "c.json"],
+    ["ahss-bound", "c.json", "d.json"],
     ["m", "-h"],
     ["upper-bound", "--dim", "6", "--help"],
+    ["m", "", "2"],
+    ["fixtures", "emit", ""],
     ["--json", "m", "4", "2"],
     ["--help"],
     ["m", "4", "2", "--bogus"],
     ["m", "4", "2", "5", "6"],
-    ["upper-bound", "--dim", "6"],
-    ["upper-bound", "--dim", "six", "--period", "2"],
-    ["fixtures", "show", "rp-3"],
+    ["m", "4"],
     [],
     ["no-such-command"],
     ["upper"],
 ]
+PARSE_CASES = WELL_FORMED + DEFERRED
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES)
-def test_subcommand_parse_matches_the_top_level_parse(capsys, monkeypatch, argv):
-    """main parses with the subcommand's own parser; the namespace, in its
-    order, or the exit code and output, are those of the top-level parse."""
-    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+@functools.cache
+def _argparse_parser():
+    return cli.build_parser()
 
-    def parse(parse_args):
+
+def _outcome(parse_args, argv):
+    """The namespace's items in order, or the exit code, and the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = list(vars(parse_args(list(argv))).items())
         except SystemExit as exc:
             result = exc.code
-        return result, capsys.readouterr()
+    return result, out.getvalue(), err.getvalue()
 
-    assert parse(cli._parse_args) == parse(cli._PARSER.parse_args)
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_subcommand_parse_matches_the_top_level_parse(monkeypatch, argv):
+    """main reads a well-formed argv from the grammar table and leaves any
+    other to argparse; either way the namespace, in its order, or the exit
+    code and output, are those of the parser's own parse_args."""
+    assert (cli._read(argv) is None) == (argv in DEFERRED)
+    monkeypatch.setattr(cli, "_PARSER", _argparse_parser())
+    assert _outcome(cli._parse_args, argv) == _outcome(cli._PARSER.parse_args, argv)
+
+
+# the subcommands' own option spellings, values, and tokens that argparse
+# alone may read
+ARGV_TOKENS = sorted(
+    {name for command in cli._GRAMMAR for group in cli._groups(command) for name, _ in group
+     if name.startswith("-")}
+    | {"4", "2", "c.json", "emit", "2,2", "", "-3", "six", "--", "-", "-h", "--di", "--period=2"}
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(cli._GRAMMAR)), st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_reading_matches_argparse_on_any_argv(command, tokens):
+    argv = [command, *tokens]
+    parser = _argparse_parser()
+    assert _outcome(lambda v: cli._read(v) or parser.parse_args(v), argv) == _outcome(
+        parser.parse_args, argv
+    )
 
 
 def test_fixtures_emit(tmp_path, capsys):
@@ -577,14 +655,19 @@ def test_fixtures_with_too_many_degrees_are_refused_at_once(capsys, name):
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # well-formed command lines, a domain error among them, build no parser;
+    # the first usage error builds one, which every later one reuses
     builds = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
     monkeypatch.setattr(cli, "_PARSER", None)
     for argv in (["m", "4", "2"], ["upper-bound", "--dim", "6", "--period", "2", "--json"],
-                 ["m", "0", "1"], ["m", "four", "2"]):
+                 ["m", "0", "1"]):
         for _ in range(3):
             run(capsys, *argv)
+    assert builds == [] and cli._PARSER is None
+    for argv in (["m", "four", "2"], ["m", "4", "2"], ["upper-bound", "--dim", "6"]) * 2:
+        run(capsys, *argv)
     assert len(builds) == 1
 
 

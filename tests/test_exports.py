@@ -73,7 +73,10 @@ def _loaded_after(statement: str) -> set[str]:
 def test_cli_import_leaves_the_snf_engine_and_dataclasses_out():
     loaded = _loaded_after("import perindex.cli")
     assert "perindex.cli" in loaded
-    assert not loaded & {"perindex.homology", "perindex.ahss", "dataclasses", "inspect"}
+    assert not loaded & {"perindex.homology", "perindex.ahss", "dataclasses", "inspect", "argparse"}
+    # a well-formed command line is read without argparse
+    loaded = _loaded_after("import perindex.cli; perindex.cli.main(['m', '4', '2'])")
+    assert "perindex.bounds" in loaded and "argparse" not in loaded
     # the bare package root loads no submodule at all
     assert not {m for m in _loaded_after("import perindex") if m.startswith("perindex.")}
 
