@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .numtheory import factorize, m_closed, n_func, r_primary_part
+from .numtheory import _is_prime_power, _lcm_upto, factorize, m_closed, n_func, r_primary_part
 from .stable_tables import (
     ExponentEntry,
     ExponentTable,
@@ -49,9 +49,11 @@ COMPOSITE_RULE_NOTE = (
 # The largest dimension the upper bounds accept.  They build one factor per
 # degree and multiply the factors out, so the cost grows quadratically in the
 # dimension and with the size of the period.  With period 2**61-1 the library
-# calls at 10**4 take about 0.16 s (prime power) and 0.4 s (product), but the
-# CLI prints no such bound: from dimension 470 on it has more than the 4,300
-# digits Python converts to text, and the CLI exits 1 after about 0.55 s.
+# calls at 10**4 take about 0.16 s (prime power) and 0.4 s (product), of
+# which the split of the period (_split_period, a gcd with lcm(1..5,000))
+# takes 6 ms, but the CLI prints no such bound: from dimension 470 on it has
+# more than the 4,300 digits Python converts to text, and the CLI exits 1
+# after about 0.4 s (prime power) and 0.7 s (product), process start included.
 # With period 10007**300 the prime-power bound took 3.1 s at dimension 1,000
 # and 14.7 s at 2,000, so at 10**4 it would take minutes (not run).
 MAX_DIM = 10**4
@@ -146,22 +148,42 @@ class OrdersProfile(namedtuple("OrdersProfile", "r orders")):
         return tuple.__new__(cls, (r, orders))
 
 
+def _split_period(d: int, r: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(pairs, t) for r = s * t >= 1: s is the part of r over the primes
+    l <= (d+1)/2, one gcd with lcm(1..(d+1)//2), and pairs its factorization.
+    Every prime of t has 2l > d+1, so every degree j < d has j < 2l - 2,
+    where t gives its formula-range value unfactored; the primes of s,
+    at most 5,000 up to MAX_DIM, are the only ones factored."""
+    s = r_primary_part(r, _lcm_upto((d + 1) // 2))
+    return (factorize(s).pairs if s > 1 else ()), r // s
+
+
+def _one_prime(pairs, t: int) -> bool:
+    """Whether s * t, split by _split_period, is a prime power: the primes
+    of t exceed those of s, so with s > 1 it is iff s is and t = 1."""
+    if pairs:
+        return len(pairs) == 1 and t == 1
+    return _is_prime_power(t)
+
+
 def upper_bound_product(d: int, r: int, table: ExponentTable | None = None) -> BoundReport:
     """Upper bound prod e_j over j = 1..d-1, where e_j is the exponent of the
     degree-j reduced stable homotopy of B Z/r (stable_exponent_BZr).
 
     The index of any class of period r on a d-dimensional complex divides the
-    bound.  r is factored once, but not at d = 1, which has no degrees.  Unknown
-    entries leave the bound Unknown with the partial factors listed.  A
-    dimension above MAX_DIM is refused with ValueError.
+    bound.  Only the part of r over the primes l <= (d+1)/2 is factored; the
+    rest lies in the formula range in every degree (_split_period), and the
+    composite note asks of it only whether it is a prime power, with no rho.
+    Unknown entries leave the bound Unknown with the partial factors listed.
+    A dimension above MAX_DIM is refused with ValueError.
     """
     check_dimension(d)
     if r < 2:
         raise ValueError(f"period must be >= 2, got {r}")
-    pairs = factorize(r).pairs if d > 1 else ()
+    pairs, rest = _split_period(d, r)
     table = table or {}
-    factors = tuple((j, _exponent(pairs, r, j, table)) for j in range(1, d))
-    assumptions = (COMPOSITE_RULE_NOTE,) if len(pairs) > 1 else ()
+    factors = tuple((j, _exponent(pairs, r, j, table, rest)) for j in range(1, d))
+    assumptions = (COMPOSITE_RULE_NOTE,) if d > 1 and not _one_prime(pairs, rest) else ()
     known = all(e.known for _, e in factors)
     bound = math.prod(e.value for _, e in factors) if known else None
     return BoundReport(bound, KIND_UPPER, TAG_PRODUCT, factors, assumptions)
@@ -172,18 +194,22 @@ def upper_bound_prime_power(d: int, r: int) -> BoundReport:
     the hypothesis 2l > d+1.  A composite r, or 2l <= d+1, is refused with
     HypothesisViolatedError rather than silently degraded; callers fall back
     to upper_bound_product.  A dimension above MAX_DIM is refused with
-    ValueError.  Under the hypothesis every j < d has j < 2l - 2, so this is
-    the exponent product less its even degrees, which are 1."""
+    ValueError.  The hypothesis holds iff r has no prime l <= (d+1)/2 and is
+    a prime power, which is decided with no rho (_split_period, _one_prime):
+    only the part of r over those primes is factored, which names l when it
+    is all of r.  Under the hypothesis every j < d has j < 2l - 2, so this
+    is the exponent product less its even degrees, which are 1."""
     check_dimension(d)
-    pairs = factorize(r).pairs
-    if len(pairs) != 1:
+    if r < 1:
+        raise ValueError(f"factorize requires a >= 1, got {r}")
+    pairs, rest = _split_period(d, r)
+    if not _one_prime(pairs, rest):
         raise HypothesisViolatedError(f"prime-power bound needs a prime-power period, got {r}")
-    ell = pairs[0][0]
-    if 2 * ell <= d + 1:
+    if pairs:
         raise HypothesisViolatedError(
-            f"prime-power bound needs 2*{ell} > {d}+1; use the exponent product instead"
+            f"prime-power bound needs 2*{pairs[0][0]} > {d}+1; use the exponent product instead"
         )
-    factors = tuple((j, _exponent(pairs, r, j, {})) for j in range(1, d, 2))
+    factors = tuple((j, _exponent((), r, j, {}, r)) for j in range(1, d, 2))
     return BoundReport(r ** (d // 2), KIND_UPPER, TAG_PRIME_POWER, factors)
 
 

@@ -15,6 +15,9 @@ the primality test run first on each cofactor costs more the larger it is:
 seconds at 14,000 bits.  Both refuse with ValueError what they cannot settle
 exactly; neither returns a probable answer.  m_closed and n_func factor
 nothing up to s = _LCM_FORM_MAX_S: there both are read off lcm(1..s).
+_is_prime_power runs factorize's steps on one cofactor but never rho, so the
+upper bounds, which factor only the primes of a period up to (d+1)/2 (a gcd
+with lcm(1..(d+1)//2) finds them), ask it whether the rest is one prime.
 """
 
 from __future__ import annotations
@@ -284,6 +287,25 @@ def factorize(a: int) -> Factorization:
                 rest.append(c)
         exponents[m], pending = e, rest
     return Factorization._trusted(tuple(sorted(exponents.items())))
+
+
+def _is_prime_power(n: int) -> bool:
+    """Whether n >= 1 is a power of one prime, by factorize's own steps but
+    with no rho: a prime up to 41 is divided out, and a larger-based n is
+    certified by is_prime or reduced to its root by _perfect_power; an n
+    that is neither has two distinct primes.  Raises ValueError where
+    is_prime cannot settle a cofactor, as factorize does."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    while n > 1 and not is_prime(n):
+        power = _perfect_power(n)
+        if not power:
+            return False
+        n = power[0]
+    return n > 1
 
 
 def r_primary_part(a: int, r: int) -> int:

@@ -137,9 +137,11 @@ def stable_exponent_BZr(r: int, j: int, table: ExponentTable | None = None) -> E
     return _exponent(factorize(r).pairs, r, j, table or {})
 
 
-def _exponent(pairs, r: int, j: int, table: ExponentTable) -> ExponentEntry:
-    """stable_exponent_BZr(r, j, table) from the prime-power pairs (l, n) of r."""
-    value, provenance = 1, PROVENANCE_FORMULA
+def _exponent(pairs, r: int, j: int, table: ExponentTable, rest: int = 1) -> ExponentEntry:
+    """stable_exponent_BZr(r, j, table) from the prime-power pairs (l, n) of
+    r // rest, where rest is a part of r whose primes all exceed those pairs'
+    and have j < 2l - 2: it gives rest in odd degrees and 1 in even ones."""
+    value, provenance = rest if j % 2 else 1, PROVENANCE_FORMULA
     for ell, n in pairs:
         q = ell**n
         if j < 2 * ell - 2:

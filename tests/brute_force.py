@@ -7,8 +7,18 @@ forms and fast paths have something independent to be checked against.
 import collections
 import math
 
+from perindex.bounds import (
+    COMPOSITE_RULE_NOTE,
+    KIND_UPPER,
+    TAG_PRIME_POWER,
+    TAG_PRODUCT,
+    BoundReport,
+    HypothesisViolatedError,
+    check_dimension,
+)
 from perindex.homology import IntMatrix
 from perindex.numtheory import factorize, is_prime
+from perindex.stable_tables import _exponent
 
 
 def m_oracle(a: int, s: int) -> int:
@@ -40,6 +50,37 @@ def n_oracle(b: int, s: int) -> int:
             while q <= s:
                 out, q = out * p, q * p
     return out
+
+
+def upper_bound_product_oracle(d: int, r: int, table=None) -> BoundReport:
+    """upper_bound_product read off the whole factorization of r: every
+    prime-power component walked in every degree, and the composite note
+    set by the number of components.  r is not factored at d = 1."""
+    check_dimension(d)
+    if r < 2:
+        raise ValueError(f"period must be >= 2, got {r}")
+    pairs = factorize(r).pairs if d > 1 else ()
+    factors = tuple((j, _exponent(pairs, r, j, table or {})) for j in range(1, d))
+    assumptions = (COMPOSITE_RULE_NOTE,) if len(pairs) > 1 else ()
+    known = all(e.known for _, e in factors)
+    bound = math.prod(e.value for _, e in factors) if known else None
+    return BoundReport(bound, KIND_UPPER, TAG_PRODUCT, factors, assumptions)
+
+
+def upper_bound_prime_power_oracle(d: int, r: int) -> BoundReport:
+    """upper_bound_prime_power read off the whole factorization of r: one
+    component l**k with 2l > d+1, else HypothesisViolatedError."""
+    check_dimension(d)
+    pairs = factorize(r).pairs
+    if len(pairs) != 1:
+        raise HypothesisViolatedError(f"prime-power bound needs a prime-power period, got {r}")
+    ell = pairs[0][0]
+    if 2 * ell <= d + 1:
+        raise HypothesisViolatedError(
+            f"prime-power bound needs 2*{ell} > {d}+1; use the exponent product instead"
+        )
+    factors = tuple((j, _exponent(pairs, r, j, {})) for j in range(1, d, 2))
+    return BoundReport(r ** (d // 2), KIND_UPPER, TAG_PRIME_POWER, factors)
 
 
 def det_oracle(rows) -> int:

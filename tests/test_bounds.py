@@ -27,7 +27,12 @@ from perindex.bounds import (
 from perindex.numtheory import factorize, m_closed, n_func
 from perindex.stable_tables import UNKNOWN_ENTRY, ExponentEntry
 
-from brute_force import m_oracle, prime_support
+from brute_force import (
+    m_oracle,
+    prime_support,
+    upper_bound_prime_power_oracle,
+    upper_bound_product_oracle,
+)
 
 
 def test_report_validation():
@@ -139,12 +144,62 @@ def test_one_factorization_per_bound(monkeypatch):
     assert report.assumptions == (COMPOSITE_RULE_NOTE,)
     assert looked_up == [18]
     looked_up.clear()
+    # 2 * 11 > 9 + 1: 11 has no prime l <= 5, so nothing is factored
     upper_bound_prime_power(9, 11)
-    assert looked_up == [11]
+    assert looked_up == []
+    # only the part over the primes l <= 5 is factored: 27 of 27 * 11
+    with pytest.raises(HypothesisViolatedError, match="needs a prime-power period"):
+        upper_bound_prime_power(9, 27 * 11)
+    with pytest.raises(HypothesisViolatedError, match=r"2\*3 > 9\+1"):
+        upper_bound_prime_power(9, 27)
+    assert looked_up == [27, 27]
     looked_up.clear()
     # at d = 1 there are no factors, so a period rho cannot split is never factored
     assert upper_bound_product(1, 2787593149816327892763980872944807277756691).bound == 1
     assert looked_up == []
+
+
+def _outcome(bound, *args):
+    """The report, or the class and message of the refusal."""
+    try:
+        return bound(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+MERSENNE_61 = 2**61 - 1
+# Each row is read only where a component of its r is unknown: 18 at
+# j = 4, 5 (its 9 is past the formula), 12 at j = 6, 45 at j = 8, 3 M**2 at j = 4.
+COMPOSITE_ROWS = {
+    (18, 4): 18, (18, 5): 54, (12, 6): 12, (45, 8): 45, (3 * MERSENNE_61**2, 4): 3,
+}
+ORACLE_TABLES = (None, {(9, 4): 9, (9, 5): 27}, COMPOSITE_ROWS)
+
+
+def _agrees_with_the_full_factorization(d: int, r: int) -> None:
+    for table in ORACLE_TABLES:
+        assert _outcome(upper_bound_product, d, r, table) == _outcome(
+            upper_bound_product_oracle, d, r, table
+        ), (d, r, table)
+    assert _outcome(upper_bound_prime_power, d, r) == _outcome(
+        upper_bound_prime_power_oracle, d, r
+    ), (d, r)
+
+
+def test_bounds_match_the_full_factorization_on_small_periods():
+    # the split factors only the primes l <= (d+1)/2; the oracle factors all
+    for d in range(1, 17):
+        for r in range(1, 401):
+            _agrees_with_the_full_factorization(d, r)
+
+
+def test_bounds_match_the_full_factorization_on_large_periods():
+    semiprimes = [p * q for p, q in ((100003, 100019), (100003, 999983), (524287, 999979))]
+    for n in semiprimes:
+        assert len(factorize(n).pairs) == 2
+    for r in (*semiprimes, MERSENNE_61, 3 * MERSENNE_61**2):
+        for d in range(1, 17):
+            _agrees_with_the_full_factorization(d, r)
 
 
 def test_half_dimension_factors_are_the_odd_degree_exponents():

@@ -304,6 +304,38 @@ def test_hard_degrees_and_periods_are_answered(capsys):
     assert result["bound"] == n_oracle(hard, 2) == hard
 
 
+def test_hard_periods_get_upper_bounds_without_rho(tmp_path, capsys, monkeypatch):
+    # every prime of hard has 2l > d+1 at these dimensions, so the bounds
+    # factor nothing of it, and its composite note needs no split
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(numtheory, "_rho_factor", no_rho)
+    hard = 2787593149816327892763980872944807277756691
+    code, out, err = run(capsys, "upper-bound", "--dim", "6", "--period", str(hard))
+    assert (code, err) == (0, ""), err
+    assert out.startswith(f"ind divides {hard**3} ")
+    assert f"note: {bounds.COMPOSITE_RULE_NOTE}" in out
+    # 2 <= 7/2 is factored, and the 4-component is past the formula from j = 2
+    result = run_json(capsys, "upper-bound", "--dim", "6", "--period", str(4 * hard))["result"]
+    assert result["bound"] is None and result["partial_product"] == 4 * hard
+    assert [f["index"] for f in result["factors"] if f["value"] is None] == [2, 3, 4, 5]
+    code, out, err = run(capsys, "upper-bound", "--dim", "6", "--period", str(hard), "--prime-power")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        "error: HypothesisViolatedError: prime-power bound needs a prime-power period, "
+        f"got {hard}"
+    ]
+    code, out, err = run(capsys, "sandwich", "--period", str(hard), "--skeleton", "5")
+    assert (code, err) == (0, ""), err
+    assert f"coherent: {hard} | {hard**3}" in out
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(chain_complex_to_json(bzr_skeleton_complex(2, 6))))
+    code, out, err = run(capsys, "ahss-bound", str(path), "--period", str(hard))
+    assert (code, err) == (0, ""), err
+    assert out.startswith(f"ind divides {hard} ")
+
+
 def test_per_ind_check(capsys):
     assert run(capsys, "per-ind-check", "2", "8")[1].strip() == "consistent"
     assert "inconsistent" in run(capsys, "per-ind-check", "2", "6")[1]

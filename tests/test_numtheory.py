@@ -420,6 +420,22 @@ def test_factorize_perfect_powers_match_sympy():
         assert dict(factorize.__wrapped__(n).pairs) == sympy.factorint(n), n
 
 
+def test_is_prime_power_matches_factorize_without_rho(monkeypatch):
+    for n in range(1, 5000):
+        assert numtheory._is_prime_power(n) == (len(factorize(n).pairs) == 1), n
+
+    def no_rho(n):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr(numtheory, "_rho_factor", no_rho)
+    hard = 2787593149816327892763980872944807277756691  # rho cannot split it
+    for n in M61_POWERS + PRIME_POWER_PRODUCTS + [hard, 4 * hard, 2**61 * hard]:
+        assert numtheory._is_prime_power(n) == (n in M61_POWERS or n == 43**97), n
+    assert numtheory._is_prime_power(2**61 - 1) and numtheory._is_prime_power(2**64)
+    with pytest.raises(ValueError, match="cannot certify"):
+        numtheory._is_prime_power(MR_EXACT_BELOW)
+
+
 def test_integer_root_is_exact():
     rng = random.Random(61)
     for _ in range(2000):
